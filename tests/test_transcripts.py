@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -8,6 +9,7 @@ from certilin import (Accept, HonestProver, ParseError, PointChallenge,
                       parse_transcript, verify_noninteractive)
 from certilin.harness import (_corrupt_payload_byte, gen_singular,
                               random_nonsingular_dense_checked)
+from certilin.provers import SingularDenialProver
 
 
 @pytest.fixture()
@@ -32,24 +34,44 @@ def test_fs_roundtrip_all_protocols(fbig, matrix):
     rng = Random(3)
     u = [fbig.sample(rng) for _ in range(n)]
     v = [fbig.sample(rng) for _ in range(n)]
+    singular = gen_singular(fbig, 6, Random(9))
+    # The sha256 of each rendered transcript is pinned: a refactor must keep
+    # every Fiat-Shamir transcript byte-identical.
     cases = [
-        ("fauv", {"u": u, "v": v}),
-        ("fauv-merged", {"u": u, "v": v}),
-        ("minpoly", {}),
-        ("minpoly-pc", {}),
-        ("det-diag", {}),
-        ("det-gamma", {}),
-        ("det-simple", {}),
-        ("charpoly", {}),
+        ("fauv", matrix, HonestProver, {"u": u, "v": v},
+         "c5f02ee98bcd4d7d2bf126a3020a94b4c7d9817462beb2c71a01817ab6c3a149"),
+        ("fauv-merged", matrix, HonestProver, {"u": u, "v": v},
+         "25bb582d9684dbfc4b7b98fa468a9568e00a251e46ec986cff5fc8b4511a0ccc"),
+        ("minpoly", matrix, HonestProver, {},
+         "2d4c9097dce6a6e692b2f0e0a83f2654254144fb4c1814fc32f99487a5b35dcc"),
+        ("minpoly-pc", matrix, HonestProver, {},
+         "69a75e8aa648785ea033a2af37cf7c3c106fe7f9c8875f71d2f686c651cbca9a"),
+        ("det-diag", matrix, HonestProver, {},
+         "4f0f0b1fa6f89af1be8470a15746333ad88c36690838f5cf8eaa8999d48232c2"),
+        ("det-gamma", matrix, HonestProver, {},
+         "d41ad9262743dbdcb0a59da8afc12d8812083f06afee6a30c9d4e23b725557a9"),
+        ("det-simple", matrix, HonestProver, {},
+         "045558716a01454d2beed1706943de02f614b380370c297fc431a5cb8f0c4f4b"),
+        ("charpoly", matrix, HonestProver, {},
+         "fc55d57832e7322c9af6b3eabb87e7b9ec24a8a04d0c8ea76f0c4fd08390c312"),
+        # A prover hiding singularity: rejected, by the same bytes each time.
+        ("det-diag", singular, SingularDenialProver, {},
+         "cfafa0904d2d1cbfd90270702e17c01f68351d8a0d30c53313732871f4cb4c91"),
+        ("det-gamma", singular, SingularDenialProver, {},
+         "99b810e6106da3097eb84abfc9b77aa34e446bd77a6c738e53f6538f3c7b68db"),
+        ("det-simple", singular, SingularDenialProver, {},
+         "194dddcc931c83107197971a4ce687befd8538b9d8eaebeff8f1f8de010b94fb"),
     ]
-    for protocol, kw in cases:
-        transcript, outcome = fs_session(matrix, protocol, **kw)
-        assert isinstance(outcome, Accept), protocol
+    for protocol, a, cls, kw, digest in cases:
+        transcript, outcome = fiat_shamir(protocol, a, cls(fbig, Random(1)), **kw)
+        label = f"{protocol}/{cls.name}"
+        assert isinstance(outcome, Accept if cls is HonestProver else Reject), label
         text = transcript.render()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, label
         parsed = parse_transcript(text)
         assert parsed.render() == text
-        replayed, meter = verify_noninteractive(parsed, matrix)
-        assert replayed == outcome, protocol
+        replayed, meter = verify_noninteractive(parsed, a)
+        assert replayed == outcome, label
         assert meter.field_ops == transcript.verifier_meter.field_ops
         assert meter.random_draws == transcript.verifier_meter.random_draws
 
