@@ -15,7 +15,7 @@ from .errors import (BadShiftError, CertilinError, ConfigError, DomainError,
                      FieldTooSmallError, IntegrityError, OracleCapError,
                      ParseError, ProtocolInternalError, UsageError)
 from .field import PrimeField, is_prime
-from .krylov import (GeneratorPair, kernel_vector, minimal_generator_pair,
+from .krylov import (GeneratorPair, minimal_generator_pair,
                      residue_polynomial, solve_shifted, wiedemann_sequence)
 from .messages import (Accept, BadChallenge, Bezout, Commitment, Outcome,
                        PointChallenge, Projection, Reject, SingularResult,
@@ -29,9 +29,8 @@ from .polynomial import (Poly, berlekamp_massey, is_coprime_certified,
 from .protocol import (BudgetReport, budget_report, certify_charpoly,
                        certify_det_diag, certify_det_gamma,
                        certify_det_simple, certify_generator,
-                       certify_generator_merged, certify_minpoly,
-                       field_size_bound, fiat_shamir, require_field_size,
-                       verify_noninteractive)
+                       certify_minpoly, field_size_bound, fiat_shamir,
+                       require_field_size, verify_noninteractive)
 from .provers import HonestProver, adversarial_prover
 
 __version__ = "0.1.0"

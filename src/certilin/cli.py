@@ -20,19 +20,15 @@ from .blackbox import emit_sms, matrix_digest, parse_sms
 from .errors import CertilinError, FieldTooSmallError, ParseError
 from .field import PrimeField
 from .harness import (PROTOCOL_CHOICES, gen_sparse, run_attack, run_bench,
-                      run_selftest, subseed)
+                      run_selftest, sample_projections, subseed)
 from .messages import (Accept, Reject, SingularResult, outcome_exit_code,
                        parse_transcript)
 from .polynomial import Poly
 from .protocol import budget_report, fiat_shamir, verify_noninteractive
-from .provers import HonestProver
+from .provers import STRATEGIES, HonestProver
 
 EXIT_FIELD_TOO_SMALL = 64
 EXIT_MATRIX_MISMATCH = 65
-
-STRATEGY_CHOICES = ("wrong_generator", "wrong_residue", "forged_bezout",
-                    "wrong_solution", "degree_pad", "singular_denial",
-                    "wrong_claim")
 
 
 class _Report:
@@ -89,10 +85,7 @@ def cmd_prove(args) -> int:
     field = a.field
     rng = Random(args.seed)
     prover = HonestProver(field, rng)
-    kwargs = {}
-    if args.protocol == "fauv":
-        kwargs["u"] = field.sample_vector(rng, a.n)
-        kwargs["v"] = field.sample_vector(rng, a.n)
+    kwargs = sample_projections(args.protocol, field, a.n, rng)
     try:
         transcript, outcome = fiat_shamir(args.protocol, a, prover, **kwargs)
     except FieldTooSmallError as exc:
@@ -238,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     at = sub.add_parser("attack", help="adversarial soundness trials")
     at.add_argument("--protocol", choices=PROTOCOL_CHOICES, required=True)
-    at.add_argument("--strategy", choices=STRATEGY_CHOICES, required=True)
+    at.add_argument("--strategy", choices=tuple(STRATEGIES), required=True)
     at.add_argument("--trials", type=int, required=True)
     at.add_argument("--n", type=int, default=10)
     at.add_argument("--modulus", type=int, default=1_000_003)

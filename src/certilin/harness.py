@@ -21,15 +21,13 @@ from .field import PrimeField
 from .krylov import wiedemann_sequence
 from .messages import Accept, BadChallenge, Reject, SingularResult
 from .oracle import oracle_charpoly, oracle_det, oracle_minpoly, oracle_cap
-from .polynomial import Poly, berlekamp_massey
-from .protocol import (budget_report, certify_charpoly, certify_det_diag,
-                       certify_det_gamma, certify_det_simple,
-                       certify_generator, certify_minpoly, field_size_bound,
-                       fiat_shamir, verify_noninteractive)
+from .polynomial import berlekamp_massey
+from .protocol import (PROTOCOL_IDS, _dispatch, budget_report,
+                       field_size_bound, fiat_shamir, protocol_spec,
+                       verify_noninteractive)
 from .provers import HonestProver, adversarial_prover
 
-PROTOCOL_CHOICES = ("fauv", "minpoly", "det-diag", "det-gamma", "det-simple",
-                    "charpoly")
+PROTOCOL_CHOICES = tuple(pid for pid in PROTOCOL_IDS if protocol_spec(pid).cli)
 
 
 def three_sigma(q: float, trials: int) -> float:
@@ -101,53 +99,34 @@ def random_nonsingular_dense_checked(field: PrimeField, n: int, rng: Random,
 
 def run_protocol(protocol: str, a: SparseMatrix, prover, challenge_rng,
                  u=None, v=None, perfectly_complete=False):
-    challenges = RandomChallenges(challenge_rng)
-    if protocol == "fauv":
-        return certify_generator(a, u, v, prover, challenges=challenges)
-    if protocol == "fauv-merged":
-        return certify_generator(a, u, v, prover, merged=True,
-                                 challenges=challenges)
-    if protocol == "minpoly":
-        return certify_minpoly(a, prover, challenges=challenges,
-                               perfectly_complete=perfectly_complete)
-    if protocol == "det-diag":
-        return certify_det_diag(a, prover, challenges=challenges)
-    if protocol == "det-gamma":
-        return certify_det_gamma(a, prover, challenges=challenges)
-    if protocol == "det-simple":
-        return certify_det_simple(a, prover, challenges=challenges)
-    if protocol == "charpoly":
-        return certify_charpoly(a, prover, challenges=challenges)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    """One interactive session with seeded verifier challenges."""
+    return _dispatch(protocol, a, prover, None, RandomChallenges(challenge_rng),
+                     u, v, perfectly_complete)
+
+
+def sample_projections(protocol: str, field: PrimeField, n: int, rng: Random) -> dict:
+    """Random u, v for the protocols whose caller supplies the projections."""
+    if not protocol_spec(protocol).projections:
+        return {}
+    return {"u": field.sample_vector(rng, n), "v": field.sample_vector(rng, n)}
 
 
 # -- soundness attacks --------------------------------------------------------
 
 
-_PRODUCT_BOUND_PROTOCOLS = ("fauv",)
-
-
 def rejection_bound(protocol: str, strategy: str, n: int, p: int):
     """Analytic lower bound on the rejection rate, with a short label."""
+    spec = protocol_spec(protocol)
     if strategy == "forged_bezout":
         return None, "non-exposing"
     if strategy == "wrong_solution":
         return 1.0, "exact-residual"
-    if protocol == "fauv":
-        b = (1 - (2 * n - 2) / p) * (1 - (3 * n - 1) / p)
-        return b, "two-point"
-    if protocol == "det-simple":
-        return 1 - (3 * n - 2) / (p - n), "quotient-of-minors"
-    if protocol == "charpoly":
-        return 1 - 2 * n / p, "claim-collision"
-    # Merged-point protocols share one evaluation point.
-    return 1 - (5 * n - 3) / p, "merged-point"
+    return spec.rejection(n, p), spec.rejection_label
 
 
 def _strategy_class(protocol: str, strategy: str):
-    if protocol == "charpoly" and strategy in ("wrong_generator", "wrong_claim"):
-        return adversarial_prover("wrong_claim")
-    return adversarial_prover(strategy)
+    aliases = dict(protocol_spec(protocol).strategy_aliases)
+    return adversarial_prover(aliases.get(strategy, strategy))
 
 
 @dataclass
@@ -282,12 +261,8 @@ def run_bench(protocol: str, sizes, p: int, seed: int,
         d = density if density is not None else min(0.3, 5.0 / n)
         a = gen_nonsingular(field, n, rng, d)
         prover = HonestProver(field, rng)
-        if protocol == "fauv":
-            u = field.sample_vector(rng, n)
-            v = field.sample_vector(rng, n)
-            transcript, outcome = fiat_shamir("fauv", a, prover, u=u, v=v)
-        else:
-            transcript, outcome = fiat_shamir(protocol, a, prover)
+        kw = sample_projections(protocol, field, n, rng)
+        transcript, outcome = fiat_shamir(protocol, a, prover, **kw)
         if not isinstance(outcome, Accept):
             raise RuntimeError(f"bench session did not accept: {outcome}")
         rep = budget_report(transcript, a)
@@ -328,10 +303,23 @@ class SelftestReport:
         return self.failures == 0
 
 
-def _sequence_generator_check(a: SparseMatrix, u, v, gen: Poly) -> bool:
-    """Accepted generator must be the BM generator of the actual sequence."""
-    seq = wiedemann_sequence(a, u, v, 2 * a.n)
-    return berlekamp_massey(a.field, seq) == gen
+_DET_PROTOCOLS = tuple(pid for pid in PROTOCOL_IDS
+                       if protocol_spec(pid).result == "det")
+
+
+def _matches_oracle(kind: str, a: SparseMatrix, projections: dict, result) -> bool:
+    """Whether an accepted result agrees with the dense oracle of its kind."""
+    if kind == "generator":
+        # The BM generator of the actual sequence.
+        seq = wiedemann_sequence(a, projections["u"], projections["v"], 2 * a.n)
+        return berlekamp_massey(a.field, seq) == result
+    if kind == "minpoly":
+        return result == oracle_minpoly(a)
+    if kind == "charpoly":
+        return result == oracle_charpoly(a)
+    expected = oracle_det(a)
+    return (expected == 0 if isinstance(result, SingularResult)
+            else result == expected)
 
 
 def run_selftest(max_n: int, seeds: int, p: int, seed: int = 0) -> SelftestReport:
@@ -350,20 +338,16 @@ def run_selftest(max_n: int, seeds: int, p: int, seed: int = 0) -> SelftestRepor
         for protocol in PROTOCOL_CHOICES:
             label = f"{protocol} n={n} seed={k}"
             try:
-                bound = field_size_bound(
-                    {"fauv": "fauv", "minpoly": "minpoly-pc"}.get(protocol, protocol), n)
+                bound = field_size_bound(protocol, n)
                 if p < bound:
                     report.skip(label, f"field too small, requires p >= {bound}")
                     continue
                 prover = HonestProver(field, subseed(seed, "prover", k, protocol))
-                if protocol == "fauv":
-                    u = field.sample_vector(rng, n)
-                    v = field.sample_vector(rng, n)
-                    transcript, outcome = fiat_shamir("fauv", a, prover, u=u, v=v)
-                elif protocol == "minpoly":
-                    transcript, outcome = fiat_shamir("minpoly-pc", a, prover)
-                else:
-                    transcript, outcome = fiat_shamir(protocol, a, prover)
+                kw = sample_projections(protocol, field, n, rng)
+                # minpoly runs its perfectly complete variant, so it must
+                # certify the full minimal polynomial.
+                transcript, outcome = fiat_shamir(protocol, a, prover,
+                                                  perfectly_complete=True, **kw)
             except FieldTooSmallError as exc:
                 report.skip(label, str(exc))
                 continue
@@ -373,17 +357,8 @@ def run_selftest(max_n: int, seeds: int, p: int, seed: int = 0) -> SelftestRepor
             if not isinstance(outcome, Accept):
                 report.check(label, False, f"outcome {outcome}")
                 continue
-            result = outcome.result
-            if protocol == "fauv":
-                ok = _sequence_generator_check(a, u, v, result)
-            elif protocol == "minpoly":
-                ok = result == oracle_minpoly(a)
-            elif protocol == "charpoly":
-                ok = result == oracle_charpoly(a)
-            else:
-                expected = oracle_det(a)
-                ok = (expected == 0 if isinstance(result, SingularResult)
-                      else result == expected)
+            ok = _matches_oracle(protocol_spec(protocol).result, a, kw,
+                                 outcome.result)
             replayed, _ = verify_noninteractive(transcript, a)
             report.check(label, ok and replayed == outcome)
 
@@ -391,7 +366,7 @@ def run_selftest(max_n: int, seeds: int, p: int, seed: int = 0) -> SelftestRepor
     for k in range(3):
         n = min(max_n, 6)
         a = gen_singular(field, n, subseed(seed, "singular", k))
-        for protocol in ("det-diag", "det-gamma", "det-simple"):
+        for protocol in _DET_PROTOCOLS:
             label = f"singular {protocol} n={n} seed={k}"
             if p < field_size_bound(protocol, n):
                 report.skip(label, "field too small")

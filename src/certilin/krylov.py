@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .blackbox import LinearOp, matvec
 from .errors import BadShiftError, IntegrityError, UsageError
 from .meter import CostMeter
-from .oracle import oracle_kernel
 from .polynomial import Poly
 
 
@@ -124,11 +123,3 @@ def solve_shifted(op: LinearOp, r1: int, v: list, gen: Poly,
             raise IntegrityError("shifted-system residual is nonzero")
     return w
 
-
-def kernel_vector(op: LinearOp):
-    """Nonzero w with A w = 0, or None for a nonsingular operator.
-
-    Desk-scale only: delegates to the dense oracle, so op.n must be within
-    the oracle cap.
-    """
-    return oracle_kernel(op)

@@ -277,7 +277,11 @@ def _parse_vec(field: PrimeField, tok: str, lineno: int) -> tuple:
 
 
 def _parse_poly(field: PrimeField, tok: str, lineno: int) -> Poly:
-    return Poly(field, _parse_vec(field, tok, lineno))
+    coeffs = _parse_vec(field, tok, lineno)
+    # One text per polynomial: only the zero polynomial ends in a zero.
+    if coeffs[-1] == 0 and tok != "0":
+        raise ParseError(lineno, f"trailing zero coefficient: {tok!r}")
+    return Poly(field, coeffs)
 
 
 _REASON = re.compile(r"^[a-z][a-z0-9-]*$")
@@ -332,11 +336,6 @@ def parse_transcript(text: str) -> Transcript:
     return t
 
 
-# Protocols whose Accept payload is a scalar determinant; all others accept
-# a polynomial.
-DET_VALUED = ("det-diag", "det-gamma", "det-simple")
-
-
 def _parse_message(field, kind, payload, lineno):
     if kind == "projection" and len(payload) == 2:
         return Projection(_parse_vec(field, payload[0], lineno),
@@ -372,7 +371,11 @@ def _parse_outcome(field, protocol_id, toks, lineno):
         body = toks[1]
         if body == "singular":
             return Accept(SingularResult())
-        if protocol_id in DET_VALUED:
+        from .protocol import _PROTOCOLS
+
+        # A determinant protocol accepts a scalar; all others a polynomial.
+        spec = _PROTOCOLS.get(protocol_id)
+        if spec is not None and spec.result == "det":
             return Accept(_parse_scalar(field, body, lineno))
         return Accept(_parse_poly(field, body, lineno))
     if tag in ("Reject", "BadChallenge"):

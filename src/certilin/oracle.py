@@ -176,25 +176,26 @@ def oracle_det(a) -> int:
     return _cached(a, "det", compute)
 
 
+def dense_charpoly(rows: list, field: PrimeField) -> Poly:
+    """det(x*I - M) via evaluation at n+1 points and interpolation."""
+    n = len(rows)
+    p = field.p
+    if p <= n:
+        raise UsageError("charpoly oracle needs p > n for distinct sample points")
+    xs, ys = [], []
+    for x in range(n + 1):
+        shifted = [[(x * (i == j) - rows[i][j]) % p for j in range(n)]
+                   for i in range(n)]
+        xs.append(x)
+        ys.append(dense_det(shifted, field))
+    poly = _interpolate(field, xs, ys)
+    assert poly.is_monic() and poly.degree == n
+    return poly
+
+
 def oracle_charpoly(a) -> Poly:
-    """det(x*I - A) via evaluation at n+1 points and interpolation."""
-    def compute():
-        field = a.field
-        n = a.n
-        if field.p <= n:
-            raise UsageError("charpoly oracle needs p > n for distinct sample points")
-        rows = materialize(a)
-        p = field.p
-        xs, ys = [], []
-        for x in range(n + 1):
-            shifted = [[(x * (i == j) - rows[i][j]) % p for j in range(n)]
-                       for i in range(n)]
-            xs.append(x)
-            ys.append(dense_det(shifted, field))
-        poly = _interpolate(field, xs, ys)
-        assert poly.is_monic() and poly.degree == n
-        return poly
-    return _cached(a, "charpoly", compute)
+    """det(x*I - A), densely."""
+    return _cached(a, "charpoly", lambda: dense_charpoly(materialize(a), a.field))
 
 
 def _first_dependency(field: PrimeField, vectors) -> Poly:

@@ -214,10 +214,19 @@ class Poly:
         return len(self.coeffs) - (1 if self.coeffs[-1] == 1 else 0)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor by plain Euclid."""
+def poly_gcd(a: Poly, b: Poly, meter: CostMeter | None = None) -> Poly:
+    """Monic greatest common divisor by plain Euclid.
+
+    A meter is charged the coefficient operations of each division step
+    and one inversion per step.
+    """
     same_field(a.field, b.field)
     while not b.is_zero():
+        if meter is not None:
+            cost = max(a.degree - b.degree + 1, 0) * (len(b.coeffs) + 1)
+            meter.mul += cost
+            meter.add += cost
+            meter.inv += 1
         a, b = b, a % b
     return a.monic()
 

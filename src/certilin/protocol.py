@@ -8,7 +8,8 @@ session bytes) and records the transcript.  A replay run re-executes the
 same flow against a parsed transcript: prover messages are read back,
 challenges are re-derived and compared, every check is re-run and the
 verifier meter is recounted.  Any tampering surfaces as a failed parse,
-a challenge mismatch or a failed check.
+a challenge mismatch or a failed check.  One table, ``_PROTOCOLS``, maps
+each protocol id to its flow and to every other fact about it.
 
 Outcomes are three-valued: Accept carries the certified object, Reject
 means the prover was exposed, BadChallenge means the verifier's own
@@ -26,7 +27,9 @@ determinant certificates; communication 4n / 8n / 5n).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 
 from .blackbox import (DiagonalMatrix, GammaMatrix, ProductOp, ShiftOp,
@@ -40,24 +43,12 @@ from .messages import (Accept, BadChallenge, Bezout, Commitment,
                        SingularResult, SingularityWitness, Solution,
                        Transcript, header_bytes, message_bytes, wire_cost)
 from .meter import CostMeter
-from .polynomial import Poly
+from .polynomial import Poly, poly_gcd
 from .provers import HonestProver
-
-PROTOCOL_IDS = ("fauv", "fauv-merged", "minpoly", "minpoly-pc",
-                "det-diag", "det-gamma", "det-simple", "charpoly")
-
 
 def field_size_bound(protocol_id: str, n: int) -> int:
     """Minimal field size required for the protocol's soundness analysis."""
-    if protocol_id == "fauv":
-        return 3 * n
-    if protocol_id in ("fauv-merged", "minpoly", "minpoly-pc"):
-        return 5 * n - 2
-    if protocol_id == "det-diag":
-        return max(n * (n - 1) // 2, 5 * n - 2)
-    if protocol_id in ("det-gamma", "det-simple", "charpoly"):
-        return max(n * n - n, 5 * n - 2)
-    raise UsageError(f"unknown protocol {protocol_id!r}")
+    return protocol_spec(protocol_id).field_bound(n)
 
 
 def require_field_size(protocol_id: str, n: int, p: int):
@@ -332,7 +323,12 @@ def _extract_det(run, gen, denominator) -> int:
 # -- protocol flows ----------------------------------------------------------
 
 
-def _flow_fauv(run, a, prover, u, v, merged):
+# Every flow has the signature flow(run, a, prover, u, v): u and v are the
+# caller's projections, which only the fauv flows read.  On replay the
+# prover and the projections are None.
+
+
+def _flow_fauv(run, a, prover, u, v, merged=False):
     u, v = run.public_projection(u, v)
     if len(u) != a.n or len(v) != a.n:
         _reject("malformed-transcript")
@@ -341,7 +337,7 @@ def _flow_fauv(run, a, prover, u, v, merged):
     return _fauv_core(run, a, prover, u, v, merged=merged)
 
 
-def _flow_minpoly(run, a, prover, perfectly_complete):
+def _flow_minpoly(run, a, prover, u, v, perfectly_complete=False):
     u, v = run.drawn_projection(a.n)
 
     def produce_secondary():
@@ -367,7 +363,7 @@ def _flow_minpoly(run, a, prover, perfectly_complete):
     return second
 
 
-def _flow_det_diag(run, a, prover):
+def _flow_det_diag(run, a, prover, u, v):
     singular = _witness_branch(run, a, prover)
     if singular is not None:
         return singular
@@ -418,14 +414,14 @@ def _det_gamma_core(run, box, prover):
     return _extract_det(run, gen, denom)
 
 
-def _flow_det_gamma(run, a, prover):
+def _flow_det_gamma(run, a, prover, u, v):
     return _det_gamma_core(run, a, prover)
 
 
 _SIMPLE_CHALLENGE_TRIES = 64
 
 
-def _flow_det_simple(run, a, prover):
+def _flow_det_simple(run, a, prover, u, v):
     singular = _witness_branch(run, a, prover)
     if singular is not None:
         return singular
@@ -449,7 +445,7 @@ def _flow_det_simple(run, a, prover):
     if not minor.is_monic() or minor.degree != n - 1:
         _reject("malformed-commitment")
     # This protocol predates the Bezout trick: a real GCD on the verifier side.
-    if _metered_gcd(full, minor, vm).degree != 0:
+    if poly_gcd(full, minor, vm).degree != 0:
         _reject("gcd-check")
     e_full = None
     r1 = None
@@ -479,7 +475,7 @@ def _flow_det_simple(run, a, prover):
     return _extract_det(run, full, denom)
 
 
-def _flow_charpoly(run, a, prover):
+def _flow_charpoly(run, a, prover, u, v):
     field, vm, n = run.field, run.vm, a.n
 
     def produce_claim():
@@ -501,16 +497,112 @@ def _flow_charpoly(run, a, prover):
     return claim
 
 
-def _metered_gcd(a: Poly, b: Poly, meter: CostMeter) -> Poly:
-    """Full Euclidean GCD charging the coefficient operations it performs."""
-    while not b.is_zero():
-        steps = max(a.degree - b.degree + 1, 0)
-        cost = steps * (len(b.coeffs) + 1)
-        meter.mul += cost
-        meter.add += cost
-        meter.inv += 1
-        a, b = b, a % b
-    return a.monic()
+# -- the protocol registry ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """Everything the library knows about one protocol id.
+
+    ``flow`` is the verifier logic, ``certify`` the name of the public entry
+    point that runs it live, with ``options`` as its fixed keyword arguments.
+    Budgets take (mu, n, log_term) and n; None means no bound is enforced.  ``generator_unsent`` leaves the committed generator out of
+    the communication count, since it is the protocol's output.  ``result``
+    names what an Accept certifies: "generator", "minpoly", "charpoly" or
+    "det".  ``strategy_aliases`` maps an attack strategy to the prover that
+    plays it against this protocol; ``cli`` offers the id on the command line
+    (the two variants are reached through library flags).
+    """
+
+    flow: Callable
+    certify: str
+    field_bound: Callable
+    rejection: Callable
+    rejection_label: str
+    result: str
+    options: tuple = ()
+    ops_budget: Callable | None = None
+    sent_budget: Callable | None = None
+    generator_unsent: bool = False
+    strategy_aliases: tuple = ()
+    cli: bool = True
+
+    @property
+    def projections(self) -> bool:
+        """Whether the caller supplies the projections u and v."""
+        return self.certify == "certify_generator"
+
+
+def _merged_point(n, p):
+    """Merged-point protocols share one evaluation point."""
+    return 1 - (5 * n - 3) / p
+
+
+def _generator_bound(n):
+    return 5 * n - 2
+
+
+def _gamma_bound(n):
+    return max(n * n - n, 5 * n - 2)
+
+
+_PROTOCOLS = {
+    "fauv": ProtocolSpec(
+        flow=_flow_fauv, certify="certify_generator",
+        options=(("merged", False),), field_bound=lambda n: 3 * n,
+        rejection=lambda n, p: (1 - (2 * n - 2) / p) * (1 - (3 * n - 1) / p),
+        rejection_label="two-point", result="generator",
+        ops_budget=lambda mu, n, log: mu + 17 * n, sent_budget=lambda n: 4 * n,
+        generator_unsent=True),
+    "fauv-merged": ProtocolSpec(
+        flow=partial(_flow_fauv, merged=True), certify="certify_generator",
+        options=(("merged", True),), field_bound=_generator_bound,
+        rejection=_merged_point, rejection_label="merged-point",
+        result="generator", ops_budget=lambda mu, n, log: mu + 13 * n,
+        sent_budget=lambda n: 4 * n, generator_unsent=True, cli=False),
+    "minpoly": ProtocolSpec(
+        flow=_flow_minpoly, certify="certify_minpoly",
+        options=(("perfectly_complete", False),), field_bound=_generator_bound,
+        rejection=_merged_point, rejection_label="merged-point",
+        result="minpoly", ops_budget=lambda mu, n, log: mu + 13 * n),
+    # Runs up to two generator certificates, so it has no linear budget.
+    "minpoly-pc": ProtocolSpec(
+        flow=partial(_flow_minpoly, perfectly_complete=True),
+        certify="certify_minpoly", options=(("perfectly_complete", True),),
+        field_bound=_generator_bound, rejection=_merged_point,
+        rejection_label="merged-point", result="minpoly", cli=False),
+    "det-diag": ProtocolSpec(
+        flow=_flow_det_diag, certify="certify_det_diag",
+        field_bound=lambda n: max(n * (n - 1) // 2, 5 * n - 2),
+        rejection=_merged_point, rejection_label="merged-point", result="det",
+        ops_budget=lambda mu, n, log: mu + 15 * n + log,
+        sent_budget=lambda n: 8 * n),
+    "det-gamma": ProtocolSpec(
+        flow=_flow_det_gamma, certify="certify_det_gamma",
+        field_bound=_gamma_bound, rejection=_merged_point,
+        rejection_label="merged-point", result="det",
+        ops_budget=lambda mu, n, log: mu + 13 * n + log,
+        sent_budget=lambda n: 5 * n),
+    "det-simple": ProtocolSpec(
+        flow=_flow_det_simple, certify="certify_det_simple",
+        field_bound=_gamma_bound,
+        rejection=lambda n, p: 1 - (3 * n - 2) / (p - n),
+        rejection_label="quotient-of-minors", result="det"),
+    "charpoly": ProtocolSpec(
+        flow=_flow_charpoly, certify="certify_charpoly",
+        field_bound=_gamma_bound, rejection=lambda n, p: 1 - 2 * n / p,
+        rejection_label="claim-collision", result="charpoly",
+        strategy_aliases=(("wrong_generator", "wrong_claim"),)),
+}
+
+PROTOCOL_IDS = tuple(_PROTOCOLS)
+
+
+def protocol_spec(protocol_id: str) -> ProtocolSpec:
+    try:
+        return _PROTOCOLS[protocol_id]
+    except KeyError:
+        raise UsageError(f"unknown protocol {protocol_id!r}") from None
 
 
 # -- public entry points ------------------------------------------------------
@@ -528,17 +620,22 @@ def _resolve(a, prover, rng, challenges):
     return prover, challenges
 
 
-def _execute(protocol_id, a, flow, prover, challenges):
+def _play(protocol_id, run, a, prover=None, u=None, v=None):
+    """Run the protocol's flow and turn its signals into an outcome."""
+    try:
+        return Accept(_PROTOCOLS[protocol_id].flow(run, a, prover, u, v))
+    except _RejectSignal as sig:
+        return Reject(sig.reason)
+    except _BadChallengeSignal as sig:
+        return BadChallenge(sig.detail)
+
+
+def _execute(protocol_id, a, prover, challenges, u=None, v=None):
     require_field_size(protocol_id, a.n, a.field.p)
     digest = matrix_digest(a)
     run = _LiveRun(protocol_id, a.field, a.n, digest, challenges,
                    CostMeter(), prover.meter)
-    try:
-        outcome = Accept(flow(run))
-    except _RejectSignal as sig:
-        outcome = Reject(sig.reason)
-    except _BadChallengeSignal as sig:
-        outcome = BadChallenge(sig.detail)
+    outcome = _play(protocol_id, run, a, prover, u, v)
     transcript = Transcript(protocol_id, a.n, a.field.p, digest,
                             run.messages, outcome, run.vm,
                             prover.meter.snapshot())
@@ -549,61 +646,60 @@ def certify_generator(a, u, v, prover=None, rng=None, *, merged=False,
                       challenges=None):
     """Certificate for the minimal generator of (u^T A^i v)."""
     prover, challenges = _resolve(a, prover, rng, challenges)
+    if u is None or v is None:
+        raise UsageError("fauv protocols need explicit projections")
     u = a.field.check_vector(u)
     v = a.field.check_vector(v)
     if len(u) != a.n or len(v) != a.n:
         raise UsageError("projection dimension mismatch")
-    pid = "fauv-merged" if merged else "fauv"
-    return _execute(pid, a,
-                    lambda run: _flow_fauv(run, a, prover, u, v, merged),
-                    prover, challenges)
-
-
-def certify_generator_merged(a, u, v, prover=None, rng=None, *, challenges=None):
-    return certify_generator(a, u, v, prover, rng, merged=True,
-                             challenges=challenges)
+    return _execute("fauv-merged" if merged else "fauv", a, prover, challenges,
+                    u, v)
 
 
 def certify_minpoly(a, prover=None, rng=None, *, perfectly_complete=False,
                     challenges=None):
     """Certificate for the minimal polynomial under random projections."""
-    prover, challenges = _resolve(a, prover, rng, challenges)
-    pid = "minpoly-pc" if perfectly_complete else "minpoly"
-    return _execute(pid, a,
-                    lambda run: _flow_minpoly(run, a, prover, perfectly_complete),
-                    prover, challenges)
+    return _execute("minpoly-pc" if perfectly_complete else "minpoly", a,
+                    *_resolve(a, prover, rng, challenges))
 
 
 def certify_det_diag(a, prover=None, rng=None, *, challenges=None):
     """Determinant certificate with diagonal preconditioning."""
-    prover, challenges = _resolve(a, prover, rng, challenges)
-    return _execute("det-diag", a,
-                    lambda run: _flow_det_diag(run, a, prover),
-                    prover, challenges)
+    return _execute("det-diag", a, *_resolve(a, prover, rng, challenges))
 
 
 def certify_det_gamma(a, prover=None, rng=None, *, challenges=None):
     """Determinant certificate with corner/diagonal preconditioning."""
-    prover, challenges = _resolve(a, prover, rng, challenges)
-    return _execute("det-gamma", a,
-                    lambda run: _flow_det_gamma(run, a, prover),
-                    prover, challenges)
+    return _execute("det-gamma", a, *_resolve(a, prover, rng, challenges))
 
 
 def certify_det_simple(a, prover=None, rng=None, *, challenges=None):
     """The quotient-of-minors determinant protocol (dense prover work)."""
-    prover, challenges = _resolve(a, prover, rng, challenges)
-    return _execute("det-simple", a,
-                    lambda run: _flow_det_simple(run, a, prover),
-                    prover, challenges)
+    return _execute("det-simple", a, *_resolve(a, prover, rng, challenges))
 
 
 def certify_charpoly(a, prover=None, rng=None, *, challenges=None):
     """Characteristic polynomial by reduction to a determinant certificate."""
-    prover, challenges = _resolve(a, prover, rng, challenges)
-    return _execute("charpoly", a,
-                    lambda run: _flow_charpoly(run, a, prover),
-                    prover, challenges)
+    return _execute("charpoly", a, *_resolve(a, prover, rng, challenges))
+
+
+def _dispatch(protocol_id, a, prover, rng, challenges, u=None, v=None,
+              perfectly_complete=False):
+    """Run the named protocol through its public ``certify_*`` entry point.
+
+    The entry point is looked up by its module-level name at call time, so
+    a wrapper installed on this module (a tracer, a profiler) sees every
+    session.  ``perfectly_complete`` selects the perfectly complete variant
+    where the entry point has one.
+    """
+    spec = protocol_spec(protocol_id)
+    options = dict(spec.options, challenges=challenges)
+    if perfectly_complete and "perfectly_complete" in options:
+        options["perfectly_complete"] = True
+    certify = globals()[spec.certify]
+    if spec.projections:
+        return certify(a, u, v, prover, rng, **options)
+    return certify(a, prover, rng, **options)
 
 
 def fiat_shamir(protocol_id, a, prover=None, rng=None, *, u=None, v=None,
@@ -613,27 +709,8 @@ def fiat_shamir(protocol_id, a, prover=None, rng=None, *, u=None, v=None,
     The prover's own randomness still comes from ``rng``; every verifier
     challenge is derived by hashing the canonical session bytes.
     """
-    challenges = FiatShamirChallenges()
-    if protocol_id in ("fauv", "fauv-merged"):
-        if u is None or v is None:
-            raise UsageError("fauv protocols need explicit projections")
-        return certify_generator(a, u, v, prover, rng,
-                                 merged=(protocol_id == "fauv-merged"),
-                                 challenges=challenges)
-    if protocol_id in ("minpoly", "minpoly-pc"):
-        return certify_minpoly(a, prover, rng,
-                               perfectly_complete=(protocol_id == "minpoly-pc"
-                                                   or perfectly_complete),
-                               challenges=challenges)
-    if protocol_id == "det-diag":
-        return certify_det_diag(a, prover, rng, challenges=challenges)
-    if protocol_id == "det-gamma":
-        return certify_det_gamma(a, prover, rng, challenges=challenges)
-    if protocol_id == "det-simple":
-        return certify_det_simple(a, prover, rng, challenges=challenges)
-    if protocol_id == "charpoly":
-        return certify_charpoly(a, prover, rng, challenges=challenges)
-    raise UsageError(f"unknown protocol {protocol_id!r}")
+    return _dispatch(protocol_id, a, prover, rng, FiatShamirChallenges(),
+                     u, v, perfectly_complete)
 
 
 def verify_noninteractive(transcript: Transcript, a: SparseMatrix):
@@ -649,28 +726,11 @@ def verify_noninteractive(transcript: Transcript, a: SparseMatrix):
     if transcript.matrix_digest != matrix_digest(a):
         raise UsageError("transcript digest does not match the matrix")
     pid = transcript.protocol_id
-    if pid not in PROTOCOL_IDS:
-        raise UsageError(f"unknown protocol {pid!r}")
     require_field_size(pid, a.n, a.field.p)
     run = _ReplayRun(transcript, a.field, FiatShamirChallenges())
-    flows = {
-        "fauv": lambda r: _flow_fauv(r, a, None, None, None, False),
-        "fauv-merged": lambda r: _flow_fauv(r, a, None, None, None, True),
-        "minpoly": lambda r: _flow_minpoly(r, a, None, False),
-        "minpoly-pc": lambda r: _flow_minpoly(r, a, None, True),
-        "det-diag": lambda r: _flow_det_diag(r, a, None),
-        "det-gamma": lambda r: _flow_det_gamma(r, a, None),
-        "det-simple": lambda r: _flow_det_simple(r, a, None),
-        "charpoly": lambda r: _flow_charpoly(r, a, None),
-    }
-    try:
-        outcome = Accept(flows[pid](run))
-        if not run.exhausted():
-            outcome = Reject("malformed-transcript")
-    except _RejectSignal as sig:
-        outcome = Reject(sig.reason)
-    except _BadChallengeSignal as sig:
-        outcome = BadChallenge(sig.detail)
+    outcome = _play(pid, run, a)
+    if isinstance(outcome, Accept) and not run.exhausted():
+        outcome = Reject("malformed-transcript")
     if not isinstance(outcome, Reject) and outcome != transcript.outcome:
         outcome = Reject("verdict-mismatch")
     return outcome, run.vm
@@ -708,39 +768,26 @@ def budget_report(transcript: Transcript, a: SparseMatrix) -> BudgetReport:
     """Check a session's meters against the protocol's stated budget.
 
     mu is the cost of applying the public matrix once (2 nnz for sparse).
-    The generator certificates exclude the committed generator from the
-    communication count, since it is the protocol's output.
     """
     n = transcript.n
     mu = a.matvec_cost()
     pid = transcript.protocol_id
+    spec = protocol_spec(pid)
     log_term = 4 * max(1, math.ceil(math.log2(n))) if n > 1 else 4
-    ops_bounds = {
-        "fauv": mu + 17 * n,
-        "fauv-merged": mu + 13 * n,
-        "det-diag": mu + 15 * n + log_term,
-        "det-gamma": mu + 13 * n + log_term,
-    }
     sent = transcript.prover_meter.elements_sent
-    sent_bound = None
-    if pid in ("fauv", "fauv-merged"):
+    if spec.generator_unsent:
         commit = next((m for role, m in transcript.messages
                        if role == "prover" and isinstance(m, Commitment)), None)
         if commit is not None:
             sent -= commit.gen.wire_cost()
-        sent_bound = 4 * n
-    elif pid == "det-diag":
-        sent_bound = 8 * n
-    elif pid == "det-gamma":
-        sent_bound = 5 * n
     return BudgetReport(
         protocol_id=pid,
         n=n,
         mu=mu,
         verifier_ops=transcript.verifier_meter.field_ops,
-        ops_bound=ops_bounds.get(pid),
+        ops_bound=spec.ops_budget(mu, n, log_term) if spec.ops_budget else None,
         sent=sent,
-        sent_bound=sent_bound,
+        sent_bound=spec.sent_budget(n) if spec.sent_budget else None,
         random_draws=transcript.verifier_meter.random_draws,
         prover_draws=transcript.prover_meter.random_draws,
     )

@@ -30,8 +30,9 @@ from .errors import (BadShiftError, IntegrityError, OracleCapError,
 from .field import PrimeField
 from .krylov import GeneratorPair, minimal_generator_pair, solve_shifted
 from .meter import CostMeter
-from .oracle import (dense_solve, materialize, oracle_cap, oracle_charpoly,
-                     oracle_kernel, oracle_minpoly, vector_minpoly)
+from .oracle import (dense_charpoly, dense_solve, materialize, oracle_cap,
+                     oracle_charpoly, oracle_kernel, oracle_minpoly,
+                     vector_minpoly)
 from .polynomial import Poly, poly_gcd, poly_lcm, xgcd
 
 PRECONDITIONER_TRIES = 16
@@ -61,6 +62,10 @@ class HonestProver:
 
     def _corrupt_simple(self, char_full: Poly, char_minor: Poly):
         return char_full, char_minor
+
+    def _accept_preconditioner(self, usable: bool) -> bool:
+        """Whether to keep a preconditioner draw; ``usable`` says it works."""
+        return usable
 
     # -- generator certificate steps ------------------------------------------
 
@@ -137,7 +142,7 @@ class HonestProver:
             v = field.sample_vector(self.rng, n, self.meter)
             preconditioned = ProductOp(DiagonalMatrix(field, diag), box)
             pair = minimal_generator_pair(preconditioned, u, v, self.meter)
-            if pair.gen.degree == n:
+            if self._accept_preconditioner(pair.gen.degree == n):
                 self._set_session(preconditioned, v, pair)
                 return diag, u, v
         raise ProtocolInternalError(
@@ -156,7 +161,7 @@ class HonestProver:
                 continue
             preconditioned = ProductOp(box, gamma)
             pair = minimal_generator_pair(preconditioned, e1, e1, self.meter)
-            if pair.gen.degree == n:
+            if self._accept_preconditioner(pair.gen.degree == n):
                 self._set_session(preconditioned, e1, pair)
                 return s, t
         raise ProtocolInternalError(
@@ -179,12 +184,10 @@ class HonestProver:
             gd = gamma.to_dense()
             rows = [[sum(dense[i][k] * gd[k][j] for k in range(n)) % p
                      for j in range(n)] for i in range(n)]
-            char_full = _charpoly_rows(field, rows)
-            if n == 1:
-                char_minor = Poly.one(field)
-            else:
-                char_minor = _charpoly_rows(field, [r[:n - 1] for r in rows[:n - 1]])
-            if poly_gcd(char_full, char_minor).degree != 0:
+            char_full = dense_charpoly(rows, field)
+            char_minor = dense_charpoly([r[:n - 1] for r in rows[:n - 1]], field)
+            if not self._accept_preconditioner(
+                    poly_gcd(char_full, char_minor).degree == 0):
                 continue
             commit_full, commit_minor = self._corrupt_simple(char_full, char_minor)
             self._simple = {
@@ -232,22 +235,6 @@ class HonestProver:
 
     def charpoly_claim(self, box: LinearOp) -> Poly:
         return oracle_charpoly(box)
-
-
-def _charpoly_rows(field: PrimeField, rows: list) -> Poly:
-    from .oracle import dense_det, _interpolate
-
-    n = len(rows)
-    if n == 0:
-        return Poly.one(field)
-    p = field.p
-    xs, ys = [], []
-    for x in range(n + 1):
-        shifted = [[(x * (i == j) - rows[i][j]) % p for j in range(n)]
-                   for i in range(n)]
-        xs.append(x)
-        ys.append(dense_det(shifted, field))
-    return _interpolate(field, xs, ys)
 
 
 # -- adversarial strategies ----------------------------------------------------
@@ -365,50 +352,10 @@ class SingularDenialProver(HonestProver):
         minor = _coprime_perturb(self.field, char_minor, forged)
         return forged, minor
 
-    def choose_diagonal(self, box):
-        field, n = self.field, box.n
-        diag = [field.sample_nonzero(self.rng, self.meter) for _ in range(n)]
-        u = field.sample_vector(self.rng, n, self.meter)
-        v = field.sample_vector(self.rng, n, self.meter)
-        preconditioned = ProductOp(DiagonalMatrix(field, diag), box)
-        pair = minimal_generator_pair(preconditioned, u, v, self.meter)
-        self._set_session(preconditioned, v, pair)
-        return diag, u, v
-
-    def choose_gamma(self, box):
-        field, n = self.field, box.n
-        e1 = [1] + [0] * (n - 1)
-        while True:
-            s = field.sample(self.rng, self.meter)
-            t = field.sample(self.rng, self.meter)
-            gamma = GammaMatrix(field, n, t=t, s=s)
-            if gamma_det(gamma) != 0:
-                break
-        preconditioned = ProductOp(box, gamma)
-        pair = minimal_generator_pair(preconditioned, e1, e1, self.meter)
-        self._set_session(preconditioned, e1, pair)
-        return s, t
-
-    def choose_simple(self, box):
-        field, n = self.field, box.n
-        dense = materialize(box)
-        p = field.p
-        while True:
-            s = field.sample(self.rng, self.meter)
-            t = field.sample(self.rng, self.meter)
-            gamma = GammaMatrix(field, n, t=t, s=s)
-            if gamma_det(gamma) != 0:
-                break
-        gd = gamma.to_dense()
-        rows = [[sum(dense[i][k] * gd[k][j] for k in range(n)) % p
-                 for j in range(n)] for i in range(n)]
-        char_full = _charpoly_rows(field, rows)
-        minor = (Poly.one(field) if n == 1
-                 else _charpoly_rows(field, [r[:n - 1] for r in rows[:n - 1]]))
-        commit_full, commit_minor = self._corrupt_simple(char_full, minor)
-        self._simple = {"box": ProductOp(box, gamma), "true_char": char_full,
-                        "rows": rows}
-        return s, t, commit_full, commit_minor
+    def _accept_preconditioner(self, usable):
+        # The first nonsingular preconditioner will do: the forged
+        # commitment does not depend on it.
+        return True
 
     def solution(self, r1):
         # Best effort: answer with a correct system solution so that only the

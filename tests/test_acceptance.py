@@ -26,11 +26,11 @@ from random import Random
 from certilin import (Accept, GammaMatrix, HonestProver, Poly, PrimeField,
                       ProductOp, SingularResult, certify_charpoly,
                       certify_det_diag, certify_det_gamma, certify_det_simple,
-                      certify_generator, certify_generator_merged,
-                      certify_minpoly, gamma_det, minimal_generator_pair,
-                      oracle_charpoly, oracle_det, oracle_minpoly,
-                      parse_transcript, poly_gcd, solve_shifted,
-                      vector_minpoly, verify_noninteractive, xgcd)
+                      certify_generator, certify_minpoly, gamma_det,
+                      minimal_generator_pair, oracle_charpoly, oracle_det,
+                      oracle_minpoly, parse_transcript, poly_gcd,
+                      solve_shifted, vector_minpoly, verify_noninteractive,
+                      xgcd)
 from certilin.blackbox import DiagonalMatrix, matvec
 from certilin.harness import (_corrupt_payload_byte, gen_nonsingular,
                               gen_sparse, random_nonsingular_dense_checked,
@@ -105,7 +105,7 @@ def test_criterion_2_verifier_budgets():
         assert rep.verifier_ops <= mu + 17 * n, f"fauv ops n={n}"
         assert rep.sent <= 4 * n, f"fauv sent n={n}"
 
-        t, o = certify_generator_merged(a, u, v, rng=n + 1)
+        t, o = certify_generator(a, u, v, rng=n + 1, merged=True)
         assert isinstance(o, Accept)
         rep = budget_report(t, a)
         assert rep.verifier_ops <= mu + 13 * n, f"merged ops n={n}"
@@ -122,6 +122,12 @@ def test_criterion_2_verifier_budgets():
         rep = budget_report(t, a)
         assert rep.verifier_ops <= mu + 13 * n + log_term, f"gamma ops n={n}"
         assert rep.sent <= 5 * n, f"gamma sent n={n}"
+
+        t, o = certify_minpoly(a, rng=n + 4)
+        assert isinstance(o, Accept)
+        rep = budget_report(t, a)
+        assert rep.verifier_ops <= mu + 13 * n, f"minpoly ops n={n}"
+        assert rep.ok, f"minpoly budget n={n}"
     report(2, True, "ops and communication bounds at n in {10, 50, 100}")
 
 
@@ -165,7 +171,7 @@ def test_criterion_4_completeness():
     assert pc.accept_rate >= floor
 
     extras = []
-    for protocol in ("det-diag", "det-gamma", "charpoly"):
+    for protocol in ("det-diag", "det-gamma", "charpoly", "minpoly-pc"):
         r = run_completeness(protocol, trials, n, P_BIG, seed=6, matrix=a)
         assert r.rejected == 0, protocol
         assert r.accept_rate >= 0.999

@@ -6,14 +6,16 @@ import pytest
 from certilin import (Accept, BadChallenge, FieldTooSmallError,
                       GeneratorPair, HonestProver, Poly, PrimeField, Reject,
                       ScriptedChallenges, SingularResult, SparseMatrix,
+                      UsageError,
                       budget_report, certify_charpoly, certify_det_diag,
                       certify_det_gamma, certify_det_simple,
-                      certify_generator, certify_generator_merged,
-                      certify_minpoly, field_size_bound, identity_matrix,
-                      oracle_charpoly, oracle_det, oracle_minpoly)
+                      certify_generator, certify_minpoly, field_size_bound,
+                      identity_matrix, oracle_charpoly, oracle_det,
+                      oracle_minpoly)
 from certilin.challenges import RandomChallenges
 from certilin.harness import (gen_singular, gen_sparse,
-                              random_nonsingular_dense_checked)
+                              random_nonsingular_dense_checked, run_protocol)
+from certilin.protocol import PROTOCOL_IDS
 
 
 def P(field, *coeffs):
@@ -42,13 +44,14 @@ def test_fauv_swap_honest(fbig):
 
 def test_fauv_merged_identity(fbig):
     a = identity_matrix(fbig, 4)
-    _, outcome = certify_generator_merged(a, [1, 0, 0, 0], [1, 0, 0, 0], rng=3)
+    _, outcome = certify_generator(a, [1, 0, 0, 0], [1, 0, 0, 0], rng=3,
+                                   merged=True)
     assert outcome == Accept(P(fbig, -1, 1))
 
 
 def test_fauv_merged_zero_matrix(fbig):
     a = SparseMatrix(fbig, 3, [])
-    _, outcome = certify_generator_merged(a, [1, 0, 0], [1, 0, 0], rng=4)
+    _, outcome = certify_generator(a, [1, 0, 0], [1, 0, 0], rng=4, merged=True)
     assert outcome == Accept(P(fbig, 0, 1))
 
 
@@ -232,8 +235,14 @@ def test_verifier_budgets(fbig, n):
     assert rep.verifier_ops <= a.matvec_cost() + 17 * n
     assert rep.sent <= 4 * n and rep.ok
 
-    t, o = certify_generator_merged(a, u, v, rng=2)
+    t, o = certify_generator(a, u, v, rng=2, merged=True)
     rep = budget_report(t, a)
+    assert rep.verifier_ops <= a.matvec_cost() + 13 * n and rep.ok
+
+    t, o = certify_minpoly(a, rng=5)
+    assert isinstance(o, Accept)
+    rep = budget_report(t, a)
+    assert rep.ops_bound == a.matvec_cost() + 13 * n
     assert rep.verifier_ops <= a.matvec_cost() + 13 * n and rep.ok
 
     t, o = certify_det_diag(a, rng=3)
@@ -287,6 +296,20 @@ def test_charpoly_singular_matrix_ok(fbig):
     a = gen_singular(fbig, 5, Random(120))
     _, outcome = certify_charpoly(a, rng=2)
     assert outcome == Accept(oracle_charpoly(a))
+
+
+# -- dispatch -------------------------------------------------------------------------
+
+
+def test_run_protocol_every_registered_id(fbig):
+    a = random_nonsingular_dense_checked(fbig, 6, Random(130), 0.4)
+    u, v = [1] * 6, [2] * 6
+    for protocol in PROTOCOL_IDS:
+        prover = HonestProver(fbig, Random(131))
+        _, outcome = run_protocol(protocol, a, prover, Random(132), u=u, v=v)
+        assert isinstance(outcome, Accept), protocol
+    with pytest.raises(UsageError):
+        run_protocol("det-bogus", a, HonestProver(fbig, Random(1)), Random(2))
 
 
 # -- field gates across protocols ---------------------------------------------------

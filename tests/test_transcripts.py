@@ -161,6 +161,15 @@ def test_parse_transcript_strictness(matrix):
     bad = text.replace(" ", f" {matrix.field.p},", 2)
     with pytest.raises(ParseError):
         parse_transcript(bad)
+    # A polynomial token with a trailing zero coefficient is not canonical:
+    # it would give a second text for the same session.
+    lines = text.rstrip("\n").split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith("prover commit "))
+    toks = lines[at].split(" ")
+    toks[2] += ",0"
+    lines[at] = " ".join(toks)
+    with pytest.raises(ParseError):
+        parse_transcript("\n".join(lines) + "\n")
 
 
 def test_transcript_header_format(matrix):
