@@ -3,12 +3,17 @@ from random import Random
 
 import pytest
 
-from certilin import (Accept, HonestProver, ParseError, PointChallenge,
-                      Reject, ScriptedChallenges, UsageError,
-                      certify_det_gamma, fiat_shamir, identity_matrix,
-                      parse_transcript, verify_noninteractive)
+from certilin import (Accept, Bezout, Commitment, HonestProver, ParseError,
+                      PointChallenge, Poly, Projection, Reject,
+                      ScriptedChallenges, SingularityWitness, Solution,
+                      UsageError, certify_det_gamma, fiat_shamir,
+                      identity_matrix, parse_transcript,
+                      verify_noninteractive)
 from certilin.harness import (_corrupt_payload_byte, gen_singular,
                               random_nonsingular_dense_checked)
+from certilin.messages import (DiagonalAnnounce, GammaAnnounce,
+                               SecondaryProjection, message_bytes,
+                               render_message, wire_cost)
 from certilin.provers import SingularDenialProver
 
 
@@ -52,6 +57,9 @@ def test_fs_roundtrip_all_protocols(fbig, matrix):
          "d41ad9262743dbdcb0a59da8afc12d8812083f06afee6a30c9d4e23b725557a9"),
         ("det-simple", matrix, HonestProver, {},
          "045558716a01454d2beed1706943de02f614b380370c297fc431a5cb8f0c4f4b"),
+        # An honest singularity certificate: the one session with a witness.
+        ("det-gamma", singular, HonestProver, {},
+         "14a528ccdb8a13bed8049172d360d1f4ab1703957e024995cbd2f1b0fb561a04"),
         ("charpoly", matrix, HonestProver, {},
          "fc55d57832e7322c9af6b3eabb87e7b9ec24a8a04d0c8ea76f0c4fd08390c312"),
         # A prover hiding singularity: rejected, by the same bytes each time.
@@ -74,6 +82,53 @@ def test_fs_roundtrip_all_protocols(fbig, matrix):
         assert replayed == outcome, label
         assert meter.field_ops == transcript.verifier_meter.field_ops
         assert meter.random_draws == transcript.verifier_meter.random_draws
+
+
+KIND_PINS = {
+    "Projection":
+        "bbf32b88ce1c9477c48015561c10d38a262cf35504e82e629649a8dcdee5d3a9",
+    "SecondaryProjection":
+        "8bca6eade24e2f13821feaa4e64af0304c4c32f918decd002b125970b8d2d896",
+    "Commitment":
+        "7deda2825a6df447d847709925e239d1b1abdbf6bab045f8ae16c7234e3ab661",
+    "Bezout":
+        "af34e6a3e6662a8fbc84564e7aa452f039f0f3f43b0e8b6990f9919eab3765ec",
+    "PointChallenge":
+        "988ca7a3443daab9110fd8aa6e374dcff1c616b988f521996f7a3c107e555660",
+    "Solution":
+        "d2b6f98c98c5cba75b975539be8438340a110cff74ca8636060032b102a78ec5",
+    "DiagonalAnnounce":
+        "e25880c2efbd2753ce098ec3b8c47e7f8209f8b19fbd46dbd7ff395d8bec2426",
+    "GammaAnnounce":
+        "5c94112a868ae5d80fef084e2f9c57b7d718f04cc15a8dd5c8910447fd6a6090",
+    "SingularityWitness":
+        "41457201805d1adeadcfacce636943058ed1e2831558c14c5176a78d743ea3c5",
+}
+
+
+def test_every_message_kind_codec_pinned(fbig):
+    # One fixed instance of every message class; the sha256 of its canonical
+    # bytes (in both roles), its text and its wire cost is pinned.
+    top = fbig.p - 1
+    msgs = [
+        Projection((1, 2, top), (4, 0, 6)),
+        SecondaryProjection((7, 8), (top, 10)),
+        Commitment(Poly(fbig, (3, 0, 1)), Poly.zero(fbig)),
+        Bezout(Poly(fbig, (5, 2)), Poly(fbig, (top,))),
+        PointChallenge(top),
+        Solution((0, 1, top)),
+        DiagonalAnnounce((2, 3, 4)),
+        GammaAnnounce(11, top),
+        SingularityWitness((0, 0, 1)),
+    ]
+    digests = {}
+    for msg in msgs:
+        h = hashlib.sha256()
+        for role in ("prover", "verifier"):
+            h.update(message_bytes(role, msg) + b"\n")
+        h.update(f"{render_message(msg)}\n{wire_cost(msg)}".encode())
+        digests[type(msg).__name__] = h.hexdigest()
+    assert digests == KIND_PINS
 
 
 def test_fs_matches_interactive_with_same_challenges(matrix):
