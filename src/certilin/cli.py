@@ -21,9 +21,8 @@ from .errors import CertilinError, FieldTooSmallError, ParseError
 from .field import PrimeField
 from .harness import (PROTOCOL_CHOICES, gen_sparse, run_attack, run_bench,
                       run_selftest, sample_projections, subseed)
-from .messages import (Accept, Reject, SingularResult, outcome_exit_code,
-                       parse_transcript)
-from .polynomial import Poly
+from .messages import (Accept, Reject, outcome_exit_code, parse_transcript,
+                       result_text)
 from .protocol import budget_report, fiat_shamir, verify_noninteractive
 from .provers import STRATEGIES, HonestProver
 
@@ -48,14 +47,6 @@ class _Report:
             print(" ".join(f"{k}={v}" for k, v in pairs))
         else:
             print("  ".join(f"{k}={v}" for k, v in pairs))
-
-
-def _result_text(result) -> str:
-    if isinstance(result, Poly):
-        return result.to_text()
-    if isinstance(result, SingularResult):
-        return "singular"
-    return str(result)
 
 
 def _load_matrix(path: str):
@@ -100,7 +91,7 @@ def cmd_prove(args) -> int:
     rep.emit("p", transcript.p)
     rep.emit("outcome", type(outcome).__name__)
     if isinstance(outcome, Accept):
-        rep.emit("result", _result_text(outcome.result))
+        rep.emit("result", result_text(outcome.result))
     elif isinstance(outcome, Reject):
         rep.emit("reason", outcome.reason)
     else:
@@ -132,7 +123,7 @@ def cmd_verify(args) -> int:
     rep.emit("protocol", transcript.protocol_id)
     rep.emit("outcome", type(outcome).__name__)
     if isinstance(outcome, Accept):
-        rep.emit("result", _result_text(outcome.result))
+        rep.emit("result", result_text(outcome.result))
     elif isinstance(outcome, Reject):
         rep.emit("reason", outcome.reason)
     rep.emit("verifier_field_ops", vm.field_ops)

@@ -2,10 +2,12 @@
 
 Field elements are plain Python ints kept in canonical form, i.e. the unique
 representative of their residue class in [0, p).  A :class:`PrimeField`
-carries the modulus, validates it at construction and provides arithmetic,
-uniform sampling and the canonical text/byte encodings.  Hot paths are free
-to inline ``% p`` on ints; the methods here are the reference semantics and
-the metering surface.
+carries the modulus, validates it at construction and provides negation,
+metered inversion, canonicality checks and uniform sampling.  Addition and
+multiplication are plain ``% p`` on ints wherever they are needed; the
+metered vector helpers below charge them to a party's meter.  The text and
+byte encodings of elements live with the wire format in
+:mod:`certilin.messages`.
 
 The modulus must satisfy 3 <= p < 2**62 so that products fit comfortably in
 machine-assisted big ints and elements serialize into 8 bytes.
@@ -50,7 +52,7 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The field Z_p together with sampling and canonical encodings."""
+    """The field Z_p: modulus validation, inversion and sampling."""
 
     __slots__ = ("p",)
 
@@ -74,10 +76,6 @@ class PrimeField:
 
     # -- element management ------------------------------------------------
 
-    def element(self, value: int) -> int:
-        """Reduce an arbitrary integer to its canonical representative."""
-        return value % self.p
-
     def check(self, value: int) -> int:
         """Validate that ``value`` already is canonical; return it."""
         if not isinstance(value, int) or isinstance(value, bool):
@@ -91,15 +89,6 @@ class PrimeField:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
     def neg(self, a: int) -> int:
         return -a % self.p
 
@@ -110,22 +99,6 @@ class PrimeField:
         if meter is not None:
             meter.inv += 1
         return pow(a, -1, self.p)
-
-    def arith(self, a: int, b: int, kind: str, meter: CostMeter | None = None) -> int:
-        """Single metered operation; ``kind`` is one of add, sub, mul."""
-        if kind == "add":
-            if meter is not None:
-                meter.add += 1
-            return (a + b) % self.p
-        if kind == "sub":
-            if meter is not None:
-                meter.add += 1
-            return (a - b) % self.p
-        if kind == "mul":
-            if meter is not None:
-                meter.mul += 1
-            return a * b % self.p
-        raise UsageError(f"unknown arithmetic kind {kind!r}")
 
     # -- sampling ------------------------------------------------------------
 
@@ -144,24 +117,6 @@ class PrimeField:
 
     def sample_vector(self, rng: Random, n: int, meter: CostMeter | None = None) -> list:
         return [self.sample(rng, meter) for _ in range(n)]
-
-    # -- canonical encodings ---------------------------------------------------
-
-    def to_text(self, a: int) -> str:
-        return str(self.check(a))
-
-    def from_text(self, text: str) -> int:
-        if not text.isdigit() or (len(text) > 1 and text[0] == "0"):
-            raise UsageError(f"not a canonical decimal: {text!r}")
-        return self.check(int(text))
-
-    def to_bytes(self, a: int) -> bytes:
-        return self.check(a).to_bytes(8, "little")
-
-    def from_bytes(self, data: bytes) -> int:
-        if len(data) != 8:
-            raise UsageError("field element byte form is exactly 8 bytes")
-        return self.check(int.from_bytes(data, "little"))
 
 
 def same_field(*fields: PrimeField) -> PrimeField:

@@ -16,7 +16,7 @@ from random import Random
 
 from .blackbox import SparseMatrix
 from .challenges import RandomChallenges
-from .errors import FieldTooSmallError
+from .errors import FieldTooSmallError, UsageError
 from .field import PrimeField
 from .krylov import wiedemann_sequence
 from .messages import Accept, BadChallenge, Reject, SingularResult
@@ -148,10 +148,6 @@ class AttackReport:
         return self.rejected / self.trials
 
     @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.trials
-
-    @property
     def passed(self) -> bool:
         if self.label == "non-exposing":
             return self.accepted == self.trials
@@ -164,7 +160,7 @@ def run_attack(protocol: str, strategy: str, trials: int, n: int, p: int,
                seed: int) -> AttackReport:
     """Seeded adversarial sessions; reports empirical rejection vs bound."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise UsageError("trials must be >= 1")
     field = PrimeField(p)
     setup = subseed(seed, "setup")
     if strategy == "singular_denial":
@@ -254,6 +250,8 @@ class BenchRow:
 def run_bench(protocol: str, sizes, p: int, seed: int,
               density: float | None = None) -> list:
     """One honest Fiat-Shamir session per size; meters against budgets."""
+    if any(n < 1 for n in sizes):
+        raise UsageError(f"bench sizes must be >= 1, got {list(sizes)}")
     field = PrimeField(p)
     rows = []
     for n in sizes:
@@ -328,7 +326,7 @@ def run_selftest(max_n: int, seeds: int, p: int, seed: int = 0) -> SelftestRepor
     field = PrimeField(p)
     cap = oracle_cap()
     if max_n > cap:
-        raise ValueError(f"selftest needs max_n <= oracle cap ({cap})")
+        raise UsageError(f"selftest needs max_n <= oracle cap ({cap})")
     ladder = [n for n in (2, 3, 4, 6, 8, 10, 12) if n <= max_n] or [max_n]
 
     for k in range(seeds):

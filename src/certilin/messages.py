@@ -2,12 +2,19 @@
 
 A transcript is the full record of one session: a header identifying the
 protocol, field, dimension and matrix, the ordered list of role-tagged
-messages, and the final outcome.  Two canonical encodings exist:
+messages, and the final outcome.  This module is the only place the wire
+format is written down.  Every payload attribute has one of three
+encodings (scalar, vector, polynomial), each with two canonical forms:
 
-* a line-oriented text form for files (LF endings, single spaces, no
-  trailing whitespace), used by the CLI;
-* a byte form per message (scalars as 8-byte little-endian, vectors and
-  polynomials length-prefixed), fed to the Fiat-Shamir hash.
+* text for transcript files: decimal residues, vector entries and
+  polynomial coefficients (low to high) joined by commas, the zero
+  polynomial as "0"; lines use LF endings and single spaces;
+* bytes fed to the Fiat-Shamir hash: scalars as 8-byte little-endian,
+  vectors and polynomials prefixed by their length.
+
+One table, ``_LAYOUT``, gives each message class its subtag and the
+ordered (attribute, encoding) layout of its payload; rendering, byte
+serialization, parsing and the wire cost all read it.
 
 Replaying a transcript through the verifier reproduces its verdict; any
 byte flipped in a payload changes either the parse, the derived
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, NamedTuple
 
 from .errors import ParseError, UsageError
 from .field import PrimeField
@@ -91,28 +99,123 @@ class SingularityWitness:
     kind = "witness"
 
 
-Message = (Projection | SecondaryProjection | Commitment | Bezout
-           | PointChallenge | Solution | DiagonalAnnounce | GammaAnnounce
-           | SingularityWitness)
+# -- the wire format -----------------------------------------------------
+
+
+def _scalar_bytes(x: int) -> bytes:
+    return int(x).to_bytes(8, "little")
+
+
+def _vec_bytes(v) -> bytes:
+    return _scalar_bytes(len(v)) + b"".join(_scalar_bytes(x) for x in v)
+
+
+def _parse_scalar(field: PrimeField, tok: str, lineno: int) -> int:
+    if not _DEC.match(tok):
+        raise ParseError(lineno, f"not a canonical decimal: {tok!r}")
+    val = int(tok)
+    if val >= field.p:
+        raise ParseError(lineno, f"value {val} out of range for p={field.p}")
+    return val
+
+
+def _parse_vec(field: PrimeField, tok: str, lineno: int) -> tuple:
+    return tuple(_parse_scalar(field, part, lineno) for part in tok.split(","))
+
+
+def _parse_poly(field: PrimeField, tok: str, lineno: int) -> Poly:
+    coeffs = _parse_vec(field, tok, lineno)
+    # One text per polynomial: only the zero polynomial ends in a zero.
+    if coeffs[-1] == 0 and tok != "0":
+        raise ParseError(lineno, f"trailing zero coefficient: {tok!r}")
+    return Poly(field, coeffs)
+
+
+class Encoding(NamedTuple):
+    """Canonical text, canonical bytes, strict parser and wire cost."""
+
+    text: Callable
+    to_bytes: Callable
+    parse: Callable  # (field, token, lineno) -> value
+    cost: Callable
+
+
+SCALAR = Encoding(str, _scalar_bytes, _parse_scalar, lambda x: 1)
+VECTOR = Encoding(lambda v: ",".join(map(str, v)), _vec_bytes, _parse_vec,
+                  len)
+POLY = Encoding(Poly.to_text, lambda f: _vec_bytes(f.coeffs), _parse_poly,
+                Poly.wire_cost)
+
+
+class _Layout(NamedTuple):
+    tags: str  # "<kind>" or "<kind> <subtag>", as the text line gives them
+    tag_bytes: bytes  # the same tags, each NUL-terminated
+    fields: tuple  # ordered (attribute, encoding) pairs
+
+
+class _Table(dict):
+    def __missing__(self, cls):
+        raise UsageError(f"unknown message type {cls.__name__}")
+
+
+def _entry(cls, fields, subtag=None):
+    tags = [cls.kind] if subtag is None else [cls.kind, subtag]
+    return cls, _Layout(" ".join(tags),
+                        b"".join(t.encode() + b"\x00" for t in tags), fields)
+
+
+# Message class -> layout.  A text line is "<role> <tags> <token>...", one
+# token per field; the bytes are the role, NUL, the tag bytes and then each
+# field's bytes in order.
+_LAYOUT = _Table([
+    _entry(Projection, (("u", VECTOR), ("v", VECTOR))),
+    _entry(SecondaryProjection, (("u", VECTOR), ("v", VECTOR))),
+    _entry(Commitment, (("gen", POLY), ("res", POLY))),
+    _entry(Bezout, (("phi", POLY), ("psi", POLY))),
+    _entry(PointChallenge, (("value", SCALAR),)),
+    _entry(Solution, (("w", VECTOR),)),
+    _entry(DiagonalAnnounce, (("diag", VECTOR),), "diagonal"),
+    _entry(GammaAnnounce, (("s", SCALAR), ("t", SCALAR)), "gamma"),
+    _entry(SingularityWitness, (("w", VECTOR),)),
+])
+_BY_TAGS = {lay.tags: cls for cls, lay in _LAYOUT.items()}
 
 
 def wire_cost(msg) -> int:
     """Field elements the message puts on the wire."""
-    if isinstance(msg, (Projection, SecondaryProjection)):
-        return len(msg.u) + len(msg.v)
-    if isinstance(msg, Commitment):
-        return msg.gen.wire_cost() + msg.res.wire_cost()
-    if isinstance(msg, Bezout):
-        return msg.phi.wire_cost() + msg.psi.wire_cost()
-    if isinstance(msg, PointChallenge):
-        return 1
-    if isinstance(msg, (Solution, SingularityWitness)):
-        return len(msg.w)
-    if isinstance(msg, DiagonalAnnounce):
-        return len(msg.diag)
-    if isinstance(msg, GammaAnnounce):
-        return 2
-    raise UsageError(f"unknown message {msg!r}")
+    cost = 0
+    for name, enc in _LAYOUT[type(msg)].fields:
+        cost += enc.cost(getattr(msg, name))
+    return cost
+
+
+def render_message(msg) -> str:
+    lay = _LAYOUT[type(msg)]
+    return " ".join([lay.tags]
+                    + [enc.text(getattr(msg, name)) for name, enc in lay.fields])
+
+
+def message_bytes(role: str, msg) -> bytes:
+    lay = _LAYOUT[type(msg)]
+    return (role.encode() + b"\x00" + lay.tag_bytes
+            + b"".join([enc.to_bytes(getattr(msg, name))
+                        for name, enc in lay.fields]))
+
+
+def header_bytes(protocol_id: str, n: int, p: int, digest_hex: str) -> bytes:
+    return (TRANSCRIPT_MAGIC.encode() + b"\x00" + protocol_id.encode() + b"\x00"
+            + _scalar_bytes(n) + _scalar_bytes(p) + bytes.fromhex(digest_hex))
+
+
+def _parse_message(field, kind, payload, lineno):
+    cls = _BY_TAGS.get(kind)
+    if cls is None:
+        cls = _BY_TAGS.get(f"{kind} {payload[0]}")
+        payload = payload[1:]
+    if cls is None or len(payload) != len(_LAYOUT[cls].fields):
+        raise ParseError(lineno, f"unknown or malformed message kind {kind!r}")
+    return cls(*[enc.parse(field, tok, lineno)
+                 for (_, enc), tok in zip(_LAYOUT[cls].fields, payload)])
 
 
 # -- outcomes ----------------------------------------------------------------
@@ -161,7 +264,7 @@ class Transcript:
     n: int
     p: int
     matrix_digest: str
-    messages: list = dc_field(default_factory=list)  # (role, Message)
+    messages: list = dc_field(default_factory=list)  # (role, message)
     outcome: object = None
     verifier_meter: CostMeter = dc_field(default_factory=CostMeter)
     prover_meter: CostMeter = dc_field(default_factory=CostMeter)
@@ -178,40 +281,14 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
-def _vec_text(v) -> str:
-    return ",".join(str(x) for x in v)
-
-
-def render_message(msg) -> str:
-    if isinstance(msg, Projection):
-        return f"projection {_vec_text(msg.u)} {_vec_text(msg.v)}"
-    if isinstance(msg, SecondaryProjection):
-        return f"projection2 {_vec_text(msg.u)} {_vec_text(msg.v)}"
-    if isinstance(msg, Commitment):
-        return f"commit {msg.gen.to_text()} {msg.res.to_text()}"
-    if isinstance(msg, Bezout):
-        return f"bezout {msg.phi.to_text()} {msg.psi.to_text()}"
-    if isinstance(msg, PointChallenge):
-        return f"challenge {msg.value}"
-    if isinstance(msg, Solution):
-        return f"solution {_vec_text(msg.w)}"
-    if isinstance(msg, DiagonalAnnounce):
-        return f"precond diagonal {_vec_text(msg.diag)}"
-    if isinstance(msg, GammaAnnounce):
-        return f"precond gamma {msg.s} {msg.t}"
-    if isinstance(msg, SingularityWitness):
-        return f"witness {_vec_text(msg.w)}"
-    raise UsageError(f"unknown message {msg!r}")
+def result_text(result) -> str:
+    """Text of an accepted result: a polynomial, a determinant or "singular"."""
+    return POLY.text(result) if isinstance(result, Poly) else str(result)
 
 
 def render_outcome(outcome) -> str:
     if isinstance(outcome, Accept):
-        r = outcome.result
-        if isinstance(r, Poly):
-            return f"Accept {r.to_text()}"
-        if isinstance(r, SingularResult):
-            return "Accept singular"
-        return f"Accept {r}"
+        return f"Accept {result_text(outcome.result)}"
     if isinstance(outcome, Reject):
         return f"Reject {outcome.reason}"
     if isinstance(outcome, BadChallenge):
@@ -219,69 +296,7 @@ def render_outcome(outcome) -> str:
     raise UsageError(f"unknown outcome {outcome!r}")
 
 
-# -- canonical bytes (Fiat-Shamir input) ------------------------------------
-
-
-def _scalar_bytes(x: int) -> bytes:
-    return int(x).to_bytes(8, "little")
-
-
-def _vec_bytes(v) -> bytes:
-    return _scalar_bytes(len(v)) + b"".join(_scalar_bytes(x) for x in v)
-
-
-def _poly_bytes(f: Poly) -> bytes:
-    return _vec_bytes(f.coeffs)
-
-
-def message_bytes(role: str, msg) -> bytes:
-    head = role.encode() + b"\x00" + msg.kind.encode() + b"\x00"
-    if isinstance(msg, (Projection, SecondaryProjection)):
-        return head + _vec_bytes(msg.u) + _vec_bytes(msg.v)
-    if isinstance(msg, Commitment):
-        return head + _poly_bytes(msg.gen) + _poly_bytes(msg.res)
-    if isinstance(msg, Bezout):
-        return head + _poly_bytes(msg.phi) + _poly_bytes(msg.psi)
-    if isinstance(msg, PointChallenge):
-        return head + _scalar_bytes(msg.value)
-    if isinstance(msg, Solution):
-        return head + _vec_bytes(msg.w)
-    if isinstance(msg, DiagonalAnnounce):
-        return head + b"diagonal\x00" + _vec_bytes(msg.diag)
-    if isinstance(msg, GammaAnnounce):
-        return head + b"gamma\x00" + _scalar_bytes(msg.s) + _scalar_bytes(msg.t)
-    if isinstance(msg, SingularityWitness):
-        return head + _vec_bytes(msg.w)
-    raise UsageError(f"unknown message {msg!r}")
-
-
-def header_bytes(protocol_id: str, n: int, p: int, digest_hex: str) -> bytes:
-    return (TRANSCRIPT_MAGIC.encode() + b"\x00" + protocol_id.encode() + b"\x00"
-            + _scalar_bytes(n) + _scalar_bytes(p) + bytes.fromhex(digest_hex))
-
-
 # -- parsing --------------------------------------------------------------
-
-
-def _parse_scalar(field: PrimeField, tok: str, lineno: int) -> int:
-    if not _DEC.match(tok):
-        raise ParseError(lineno, f"not a canonical decimal: {tok!r}")
-    val = int(tok)
-    if val >= field.p:
-        raise ParseError(lineno, f"value {val} out of range for p={field.p}")
-    return val
-
-
-def _parse_vec(field: PrimeField, tok: str, lineno: int) -> tuple:
-    return tuple(_parse_scalar(field, part, lineno) for part in tok.split(","))
-
-
-def _parse_poly(field: PrimeField, tok: str, lineno: int) -> Poly:
-    coeffs = _parse_vec(field, tok, lineno)
-    # One text per polynomial: only the zero polynomial ends in a zero.
-    if coeffs[-1] == 0 and tok != "0":
-        raise ParseError(lineno, f"trailing zero coefficient: {tok!r}")
-    return Poly(field, coeffs)
 
 
 _REASON = re.compile(r"^[a-z][a-z0-9-]*$")
@@ -334,33 +349,6 @@ def parse_transcript(text: str) -> Transcript:
         raise ParseError(lineno, "missing outcome line")
     t.outcome = _parse_outcome(field, protocol_id, last[1:], lineno)
     return t
-
-
-def _parse_message(field, kind, payload, lineno):
-    if kind == "projection" and len(payload) == 2:
-        return Projection(_parse_vec(field, payload[0], lineno),
-                          _parse_vec(field, payload[1], lineno))
-    if kind == "projection2" and len(payload) == 2:
-        return SecondaryProjection(_parse_vec(field, payload[0], lineno),
-                                   _parse_vec(field, payload[1], lineno))
-    if kind == "commit" and len(payload) == 2:
-        return Commitment(_parse_poly(field, payload[0], lineno),
-                          _parse_poly(field, payload[1], lineno))
-    if kind == "bezout" and len(payload) == 2:
-        return Bezout(_parse_poly(field, payload[0], lineno),
-                      _parse_poly(field, payload[1], lineno))
-    if kind == "challenge" and len(payload) == 1:
-        return PointChallenge(_parse_scalar(field, payload[0], lineno))
-    if kind == "solution" and len(payload) == 1:
-        return Solution(_parse_vec(field, payload[0], lineno))
-    if kind == "precond" and len(payload) == 2 and payload[0] == "diagonal":
-        return DiagonalAnnounce(_parse_vec(field, payload[1], lineno))
-    if kind == "precond" and len(payload) == 3 and payload[0] == "gamma":
-        return GammaAnnounce(_parse_scalar(field, payload[1], lineno),
-                             _parse_scalar(field, payload[2], lineno))
-    if kind == "witness" and len(payload) == 1:
-        return SingularityWitness(_parse_vec(field, payload[0], lineno))
-    raise ParseError(lineno, f"unknown or malformed message kind {kind!r}")
 
 
 def _parse_outcome(field, protocol_id, toks, lineno):

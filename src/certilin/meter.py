@@ -32,14 +32,3 @@ class CostMeter:
 
     def snapshot(self) -> "CostMeter":
         return replace(self)
-
-    def as_dict(self) -> dict:
-        return {
-            "mul": self.mul,
-            "add": self.add,
-            "inv": self.inv,
-            "field_ops": self.field_ops,
-            "matvec": self.matvec,
-            "random_draws": self.random_draws,
-            "elements_sent": self.elements_sent,
-        }

@@ -6,9 +6,11 @@ comparisons stay total.  Provides ring arithmetic, Horner evaluation with
 exact operation metering, the extended Euclidean algorithm with the tight
 cofactor degree bounds, and Berlekamp-Massey for minimal linear generators.
 
-Canonical text form is the comma-separated list of decimal coefficients,
-low-to-high ("100,0,1" is x^2 - 1 over Z_101); the zero polynomial reads
-and writes as "0".
+``to_text`` and ``wire_cost`` give a polynomial's canonical text, the
+comma-separated decimal coefficients low-to-high ("100,0,1" is x^2 - 1 over
+Z_101, the zero polynomial is "0"), and the field elements it puts on the
+wire.  The wire format that uses them, parser included, lives in
+:mod:`certilin.messages`.
 """
 
 from __future__ import annotations
@@ -200,12 +202,6 @@ class Poly:
         if not self.coeffs:
             return "0"
         return ",".join(str(c) for c in self.coeffs)
-
-    @classmethod
-    def from_text(cls, field: PrimeField, text: str) -> "Poly":
-        parts = text.split(",")
-        coeffs = [field.from_text(tok) for tok in parts]
-        return cls(field, coeffs)
 
     def wire_cost(self) -> int:
         """Field elements needed on the wire (monic leading 1 is implicit)."""

@@ -232,3 +232,17 @@ def test_selftest_small_field_skips():
                            "--modulus", "101")
     assert code == 0
     assert "SKIP" in out and "field too small" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("selftest", "--max-n", "100"),
+    ("attack", "--protocol", "fauv", "--strategy", "wrong_generator",
+     "--trials", "0"),
+    ("bench", "--protocol", "fauv", "--sizes", "0"),
+    ("bench", "--protocol", "det-gamma", "--sizes", "10,0"),
+])
+def test_invalid_arguments_are_usage_errors(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")

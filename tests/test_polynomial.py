@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from certilin import (CostMeter, DomainError, Poly, PrimeField, UsageError,
                       berlekamp_massey, is_coprime_certified, poly_gcd,
                       poly_lcm, xgcd)
+from certilin.messages import POLY
 from certilin.polynomial import NEG_INF
 
 from conftest import PRIME_BIG
@@ -101,7 +102,7 @@ def test_zero_polynomial_degree_sentinel(f7):
     assert P(f7, 3).degree == 0
     assert not z
     assert z.to_text() == "0"
-    assert Poly.from_text(f7, "0") == z
+    assert POLY.parse(f7, "0", 1) == z
 
 
 def test_trailing_zeros_stripped(f7):
@@ -327,4 +328,4 @@ def test_divrem_invariant(a, b):
 def test_text_roundtrip(a):
     f = PrimeField(101)
     A = Poly(f, a)
-    assert Poly.from_text(f, A.to_text()) == A
+    assert POLY.parse(f, POLY.text(A), 1) == A

@@ -225,6 +225,18 @@ def test_parse_transcript_strictness(matrix):
     lines[at] = " ".join(toks)
     with pytest.raises(ParseError):
         parse_transcript("\n".join(lines) + "\n")
+    # Only ASCII decimal digits are canonical, and "1,0" is the constant 1
+    # with a trailing zero.
+    for prefix, token in (("verifier challenge ", "\u0661"),
+                          ("verifier challenge ", "\u00b2"),
+                          ("prover commit ", "1,0")):
+        lines = text.rstrip("\n").split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        toks = lines[at].split(" ")
+        toks[2] = token
+        lines[at] = " ".join(toks)
+        with pytest.raises(ParseError):
+            parse_transcript("\n".join(lines) + "\n")
 
 
 def test_transcript_header_format(matrix):
