@@ -9,8 +9,8 @@ from certilin import (Accept, Bezout, Commitment, HonestProver, ParseError,
                       UsageError, certify_det_gamma, fiat_shamir,
                       identity_matrix, parse_transcript,
                       verify_noninteractive)
-from certilin.harness import (_corrupt_payload_byte, gen_singular,
-                              random_nonsingular_dense_checked)
+from certilin.harness import (_corrupt_payload_byte, gen_nonsingular,
+                              gen_singular, random_nonsingular_dense_checked)
 from certilin.messages import (DiagonalAnnounce, GammaAnnounce,
                                SecondaryProjection, message_bytes,
                                render_message, wire_cost)
@@ -82,6 +82,24 @@ def test_fs_roundtrip_all_protocols(fbig, matrix):
         assert replayed == outcome, label
         assert meter.field_ops == transcript.verifier_meter.field_ops
         assert meter.random_draws == transcript.verifier_meter.random_draws
+
+
+@pytest.mark.parametrize("protocol, digest, field_ops", [
+    ("det-gamma",
+     "4dd3ebcb1363c545ae820deb4f317f77a4667a10fa080ff560918241ff5bac7d", 710667),
+    ("minpoly",
+     "e3c6f8c7e5884da468314d271c72a7be274aeb014e883743a3b00bb77d61b068", 575518),
+])
+def test_fs_transcript_pinned_at_n150(fbig, protocol, digest, field_ops):
+    # Long Euclid and Berlekamp-Massey runs: the sha256 of the transcript
+    # and the prover's metered work are pinned at a size where every kernel
+    # loops hundreds of times.
+    a = gen_nonsingular(fbig, 150, Random(150), 5 / 150)
+    transcript, outcome = fiat_shamir(protocol, a, HonestProver(fbig, Random(1)))
+    assert isinstance(outcome, Accept)
+    assert hashlib.sha256(transcript.render().encode()).hexdigest() == digest
+    assert transcript.prover_meter.matvec == 449
+    assert transcript.prover_meter.field_ops == field_ops
 
 
 KIND_PINS = {
