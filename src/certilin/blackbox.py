@@ -75,11 +75,11 @@ class SparseMatrix(LinearOp):
         p = self.field.p
         y = [0] * self.n
         for i, j, v in self.entries:
-            y[i] = (y[i] + v * x[j]) % p
+            y[i] += v * x[j]
         if meter is not None:
             meter.mul += self.nnz
             meter.add += self.nnz
-        return y
+        return [c % p for c in y]
 
     def matvec_cost(self) -> int:
         return 2 * self.nnz
@@ -144,7 +144,7 @@ class GammaMatrix(LinearOp):
     def apply(self, x: list, meter: CostMeter | None = None) -> list:
         p = self.field.p
         t, s, n = self.t, self.s, self.n
-        y = [(t * x[i] - x[i + 1]) % p for i in range(n - 1)]
+        y = [(t * a - b) % p for a, b in zip(x, x[1:])]
         y.append((s * x[0] + t * x[-1]) % p)
         if meter is not None:
             meter.mul += n + 1

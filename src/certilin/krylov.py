@@ -12,6 +12,7 @@ applications of A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .blackbox import LinearOp, matvec
 from .errors import BadShiftError, IntegrityError, UsageError
@@ -40,9 +41,7 @@ def wiedemann_sequence(op: LinearOp, u: list, v: list, length: int,
     for i in range(length):
         if i:
             cur = matvec(op, cur, meter)
-        acc = 0
-        for a, b in zip(u, cur):
-            acc += a * b
+        acc = sum(map(mul, u, cur))
         if meter is not None:
             meter.mul += op.n
             meter.add += op.n - 1
@@ -59,15 +58,11 @@ def residue_polynomial(gen: Poly, seq: list) -> Poly:
     d = len(gen.coeffs) - 1
     if d <= 0:
         return Poly.zero(field)
+    if len(seq) < d:
+        raise UsageError("sequence shorter than the generator's degree")
     p = field.p
     g = gen.coeffs
-    out = []
-    for j in range(d):
-        acc = 0
-        for k in range(j + 1, d + 1):
-            acc += g[k] * seq[k - 1 - j]
-        out.append(acc % p)
-    return Poly(field, out)
+    return Poly(field, [sum(map(mul, g[j + 1:], seq)) % p for j in range(d)])
 
 
 def minimal_generator_pair(op: LinearOp, u: list, v: list,

@@ -15,6 +15,8 @@ wire.  The wire format that uses them, parser included, lives in
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import DomainError, UsageError
 from .field import PrimeField, same_field
 from .meter import CostMeter
@@ -233,6 +235,38 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     return ((a * b) // poly_gcd(a, b)).monic()
 
 
+def _strip(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _euclid_step(r0: list, r1: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of r0 by r1 (nonzero) on canonical lists."""
+    inv = pow(r1[-1], -1, p)
+    db = len(r1) - 1
+    r = list(r0)
+    q = [0] * max(len(r0) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        coef = r[k + db] * inv % p
+        q[k] = coef
+        if coef:
+            r[k:k + db + 1] = [(x - coef * y) % p for x, y in zip(r[k:k + db + 1], r1)]
+    return q, _strip(r[:db])
+
+
+def _sub_mul(c: list, q: list, s: list, p: int) -> list:
+    """c - q*s on canonical lists."""
+    if not q or not s:
+        return list(c)
+    out = c + [0] * (len(q) + len(s) - 1 - len(c))
+    for i, qi in enumerate(q):
+        if qi:
+            for j, sj in enumerate(s):
+                out[i + j] -= qi * sj
+    return _strip([x % p for x in out])
+
+
 def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid: returns (g, s, t) with g = s*a + t*b and g monic.
 
@@ -243,26 +277,53 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     f = same_field(a.field, b.field)
     if a.is_zero() and b.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
-    one, zero = Poly.one(f), Poly.zero(f)
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero():
-        q, r = r0.divrem(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lead = r0.leading()
+    p = f.p
+    # Remainders and cofactors are canonical coefficient lists, low to high.
+    r0, r1 = list(a.coeffs), list(b.coeffs)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        if len(r0) == len(r1) + 1:
+            # A degree-1 quotient q1*x + q0, the usual case: one pass each
+            # computes r0 - q*r1, s0 - q*s1 and t0 - q*t1.  The cofactor
+            # degrees grow with each step, so s0 and t0 fit in len(s1) + 1
+            # and len(t1) + 1 coefficients.
+            inv = pow(r1[-1], -1, p)
+            x_r1 = [0] + r1
+            q1 = r0[-1] * inv % p
+            q0 = (r0[-2] - q1 * x_r1[-2]) * inv % p
+            r = [(c - q1 * d - q0 * e) % p for c, d, e in zip(r0, x_r1, r1)]
+            r.pop()
+            n = len(s1) + 1
+            s = [(c - q1 * d - q0 * e) % p
+                 for c, d, e in zip(s0 + [0] * (n - len(s0)), [0] + s1, s1 + [0])]
+            n = len(t1) + 1
+            t = [(c - q1 * d - q0 * e) % p
+                 for c, d, e in zip(t0 + [0] * (n - len(t0)), [0] + t1, t1 + [0])]
+            r0, r1 = r1, _strip(r)
+            s0, s1 = s1, _strip(s)
+            t0, t1 = t1, _strip(t)
+        else:
+            q, r = _euclid_step(r0, r1, p)
+            r0, r1 = r1, r
+            s0, s1 = s1, _sub_mul(s0, q, s1, p)
+            t0, t1 = t1, _sub_mul(t0, q, t1, p)
+    lead = r0[-1]
     if lead != 1:
-        k = pow(lead, -1, f.p)
-        r0, s0, t0 = r0.scale(k), s0.scale(k), t0.scale(k)
+        k = pow(lead, -1, p)
+        r0 = [c * k % p for c in r0]
+        s0 = [c * k % p for c in s0]
+        t0 = [c * k % p for c in t0]
+    g = Poly(f, tuple(r0), _canonical=True)
+    s = Poly(f, tuple(s0), _canonical=True)
+    t = Poly(f, tuple(t0), _canonical=True)
     # Tighten deg(s) below deg(b/g); fold the quotient into t.
     if not b.is_zero():
-        bq = b // r0
-        if bq.degree >= 1 and s0.degree >= bq.degree:
-            q, s0 = s0.divrem(bq)
-            t0 = t0 + q * (a // r0)
-    return r0, s0, t0
+        bq = b // g
+        if bq.degree >= 1 and s.degree >= bq.degree:
+            q, s = s.divrem(bq)
+            t = t + q * (a // g)
+    return g, s, t
 
 
 def is_coprime_certified(f: Poly, h: Poly, phi: Poly, psi: Poly, r0: int,
@@ -291,38 +352,31 @@ def berlekamp_massey(field: PrimeField, seq) -> Poly:
     if not seq:
         raise UsageError("berlekamp_massey needs at least one term")
     p = field.p
+    # seq[n-1], seq[n-2], ..., seq[n-L] is rev[N-n : N-n+L].
+    rev = seq[::-1]
+    N = len(seq)
     c = [1]          # connection polynomial, c[0] = 1
     b = [1]          # copy at last length change
     L = 0
     m = 1
-    bb = 1           # discrepancy at last length change
+    bb_inv = 1       # inverse of the discrepancy at last length change
     for n, a_n in enumerate(seq):
-        d = a_n
-        for i in range(1, L + 1):
-            if i < len(c) and c[i]:
-                d += c[i] * seq[n - i]
-        d %= p
+        d = (a_n + sum(map(mul, c[1:L + 1], rev[N - n:N - n + L]))) % p
         if d == 0:
             m += 1
             continue
-        coef = d * pow(bb, -1, p) % p
-        if 2 * L <= n:
-            t = c[:]
-            grow = m + len(b)
-            if len(c) < grow:
-                c = c + [0] * (grow - len(c))
-            for i, bi in enumerate(b):
-                c[m + i] = (c[m + i] - coef * bi) % p
+        coef = d * bb_inv % p
+        t = c[:] if 2 * L <= n else None
+        end = m + len(b)
+        if len(c) < end:
+            c.extend([0] * (end - len(c)))
+        c[m:end] = [(x - coef * y) % p for x, y in zip(c[m:end], b)]
+        if t is not None:
             L = n + 1 - L
             b = t
-            bb = d
+            bb_inv = pow(d, -1, p)
             m = 1
         else:
-            grow = m + len(b)
-            if len(c) < grow:
-                c = c + [0] * (grow - len(c))
-            for i, bi in enumerate(b):
-                c[m + i] = (c[m + i] - coef * bi) % p
             m += 1
     # Reverse the connection polynomial into a monic generator of degree L.
     c = c + [0] * (L + 1 - len(c))

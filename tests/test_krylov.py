@@ -1,11 +1,13 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from certilin import (BadShiftError, CostMeter, IntegrityError, Poly,
+from certilin import (BadShiftError, CostMeter, IntegrityError, Poly, PrimeField,
                       SparseMatrix, identity_matrix, minimal_generator_pair,
                       oracle_det, oracle_kernel, oracle_minpoly,
-                      poly_gcd, solve_shifted, vector_minpoly,
+                      poly_gcd, residue_polynomial, solve_shifted,
+                      vector_minpoly,
                       wiedemann_sequence)
 from certilin.blackbox import matvec
 from certilin.harness import gen_sparse
@@ -193,3 +195,16 @@ def test_projection_bound_smoke(fbig):
     bound = (1 - m / p) ** 2
     sigma3 = 3 * (bound * (1 - bound) / trials) ** 0.5
     assert hits / trials >= bound - sigma3 - 1e-9
+
+
+@given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=10),
+       st.lists(st.integers(min_value=0, max_value=100), min_size=10, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_residue_is_polynomial_part(gen_coeffs, seq):
+    # gen * sum_i a_i x^(-i-1) = (gen * sum_i a_i x^(N-1-i)) / x^N; the
+    # polynomial part is the product's coefficients from x^N up.
+    f = PrimeField(101)
+    gen = Poly(f, gen_coeffs)
+    N = len(seq)
+    product = gen * Poly(f, seq[::-1])
+    assert residue_polynomial(gen, seq) == Poly(f, product.coeffs[N:])

@@ -329,3 +329,59 @@ def test_text_roundtrip(a):
     f = PrimeField(101)
     A = Poly(f, a)
     assert POLY.parse(f, POLY.text(A), 1) == A
+
+
+# Coefficient lists over GF(7): empty (the zero polynomial) and constants
+# included, and a pair built from a remainder sequence whose quotients
+# have degree 1 to 3, so that Euclid takes both its degree-1 steps and
+# its general steps.
+coeffs7 = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=10)
+quotient7 = st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=4).map(
+    lambda c: c[:-1] + [c[-1] or 1])
+
+
+@st.composite
+def euclid_pairs(draw):
+    f = PrimeField(7)
+    if draw(st.booleans()):
+        a, b = Poly(f, draw(coeffs7)), Poly(f, draw(coeffs7))
+    else:
+        # Build r_(i-1) = q_i * r_i + r_(i+1) backwards from a nonzero tail.
+        b, a = Poly.zero(f), Poly(f, draw(coeffs7.filter(any)))
+        for q in draw(st.lists(quotient7, min_size=1, max_size=6)):
+            a, b = Poly(f, q) * a + b, a
+    common = Poly(f, draw(st.lists(st.integers(0, 6), min_size=1, max_size=3)))
+    if draw(st.booleans()) and common:
+        a, b = a * common, b * common
+    return a, b
+
+
+@given(euclid_pairs())
+@settings(max_examples=400, deadline=None)
+def test_xgcd_bezout_and_tight_bounds(pair):
+    a, b = pair
+    f = a.field
+    if a.is_zero() and b.is_zero():
+        return
+    g, s, t = xgcd(a, b)
+    assert g.is_monic()
+    assert s * a + t * b == g
+    assert a % g == Poly.zero(f) and b % g == Poly.zero(f)
+    if g.degree == 0 and a.degree > b.degree >= 0:
+        assert s.degree < b.degree
+        assert t.degree < a.degree
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=10))
+@settings(max_examples=400, deadline=None)
+def test_bm_matches_bruteforce_gf7(seq):
+    f = PrimeField(7)
+    got = berlekamp_massey(f, seq)
+    oracle = brute_minimal_generator(f, seq)
+    assert got.is_monic()
+    assert satisfies_recurrence(f, got, seq)
+    # None: no monic generator of degree below len(seq) exists.
+    assert got.degree == (len(seq) if oracle is None else oracle.degree)
+    if 2 * got.degree <= len(seq):
+        # Then the minimal generator is unique.
+        assert got == oracle
