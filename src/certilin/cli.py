@@ -17,7 +17,7 @@ import sys
 from random import Random
 
 from .blackbox import emit_sms, matrix_digest, parse_sms
-from .errors import CertilinError, FieldTooSmallError, ParseError
+from .errors import CertilinError, FieldTooSmallError, ParseError, UsageError
 from .field import PrimeField
 from .harness import (PROTOCOL_CHOICES, gen_sparse, run_attack, run_bench,
                       run_selftest, sample_projections, subseed)
@@ -54,10 +54,13 @@ def _load_matrix(path: str):
         return parse_sms(fh.read())
 
 
+def _check_density(density):
+    if density is not None and not 0 < density <= 1:
+        raise UsageError(f"density must be in (0, 1], got {density}")
+
+
 def cmd_gen(args) -> int:
-    if not 0 < args.density <= 1:
-        print("error: density must be in (0, 1]", file=sys.stderr)
-        return 1
+    _check_density(args.density)
     field = PrimeField(args.modulus)
     rng = subseed(args.seed, "gen", args.n, args.density)
     a = gen_sparse(field, args.n, args.density, rng)
@@ -158,10 +161,14 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    try:
+        sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    except ValueError:
+        raise UsageError(f"sizes must be comma-separated integers, got {args.sizes!r}") from None
     if not sizes:
         print("error: empty size list", file=sys.stderr)
         return 1
+    _check_density(args.density)
     rep = _Report(args.format)
     ok = True
     for row in run_bench(args.protocol, sizes, args.modulus, args.seed,
@@ -253,7 +260,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CertilinError as exc:

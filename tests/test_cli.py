@@ -240,8 +240,34 @@ def test_selftest_small_field_skips():
      "--trials", "0"),
     ("bench", "--protocol", "fauv", "--sizes", "0"),
     ("bench", "--protocol", "det-gamma", "--sizes", "10,0"),
+    ("bench", "--protocol", "det-gamma", "--sizes", "3,x"),
+    ("bench", "--protocol", "det-gamma", "--sizes", "10", "--density", "0"),
+    ("bench", "--protocol", "det-gamma", "--sizes", "10", "--density", "2"),
 ])
 def test_invalid_arguments_are_usage_errors(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["prove-matrix", "verify-matrix",
+                                     "verify-transcript", "gen-matrix"])
+def test_unusable_paths_are_errors(tmp_path, matrix_file, command):
+    # A directory where a file is expected: an OSError other than
+    # FileNotFoundError must still end in "error: ..." and exit 1.
+    transcript = tmp_path / "t.txt"
+    assert run_cli("prove", "--protocol", "det-gamma", "--matrix", str(matrix_file),
+                   "--transcript", str(transcript))[0] == 0
+    folder = str(tmp_path)
+    argv = {
+        "prove-matrix": ("prove", "--protocol", "det-gamma", "--matrix", folder),
+        "verify-matrix": ("verify", "--transcript", str(transcript), "--matrix", folder),
+        "verify-transcript": ("verify", "--transcript", folder,
+                              "--matrix", str(matrix_file)),
+        "gen-matrix": ("gen", "--n", "4", "--density", "0.5", "--modulus", "7",
+                       "--matrix", folder),
+    }[command]
     code, out, err = run_cli(*argv)
     assert code == 1
     assert out == ""
