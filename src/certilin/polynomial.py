@@ -24,6 +24,26 @@ from .meter import CostMeter
 NEG_INF = float("-inf")
 
 
+def _strip(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _divrem(a, b, p: int) -> tuple[list, list]:
+    """Quotient and remainder of canonical coefficients a by nonzero b."""
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        coef = r[k + db] * inv % p
+        q[k] = coef
+        if coef:
+            r[k:k + db + 1] = [(x - coef * y) % p for x, y in zip(r[k:k + db + 1], b)]
+    return q, _strip(r[:db])
+
+
 class Poly:
     """Immutable dense polynomial bound to a :class:`PrimeField`."""
 
@@ -152,21 +172,8 @@ class Poly:
         f = self._peer(other)
         if other.is_zero():
             raise DomainError("polynomial division by zero")
-        p = f.p
-        b = other.coeffs
-        r = list(self.coeffs)
-        db = len(b) - 1
-        if len(r) - 1 < db:
-            return Poly.zero(f), self
-        inv_lead = pow(b[-1], -1, p)
-        q = [0] * (len(r) - db)
-        for k in range(len(r) - db - 1, -1, -1):
-            coef = r[k + db] * inv_lead % p
-            if coef:
-                q[k] = coef
-                for j, bj in enumerate(b):
-                    r[k + j] = (r[k + j] - coef * bj) % p
-        return Poly(f, q), Poly(f, r[:db])
+        q, r = _divrem(self.coeffs, other.coeffs, f.p)
+        return Poly(f, tuple(q), _canonical=True), Poly(f, tuple(r), _canonical=True)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divrem(other)[0]
@@ -235,26 +242,6 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     return ((a * b) // poly_gcd(a, b)).monic()
 
 
-def _strip(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _euclid_step(r0: list, r1: list, p: int) -> tuple[list, list]:
-    """Quotient and remainder of r0 by r1 (nonzero) on canonical lists."""
-    inv = pow(r1[-1], -1, p)
-    db = len(r1) - 1
-    r = list(r0)
-    q = [0] * max(len(r0) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        coef = r[k + db] * inv % p
-        q[k] = coef
-        if coef:
-            r[k:k + db + 1] = [(x - coef * y) % p for x, y in zip(r[k:k + db + 1], r1)]
-    return q, _strip(r[:db])
-
-
 def _sub_mul(c: list, q: list, s: list, p: int) -> list:
     """c - q*s on canonical lists."""
     if not q or not s:
@@ -304,7 +291,7 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
             s0, s1 = s1, _strip(s)
             t0, t1 = t1, _strip(t)
         else:
-            q, r = _euclid_step(r0, r1, p)
+            q, r = _divrem(r0, r1, p)
             r0, r1 = r1, r
             s0, s1 = s1, _sub_mul(s0, q, s1, p)
             t0, t1 = t1, _sub_mul(t0, q, t1, p)
