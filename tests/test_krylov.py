@@ -3,12 +3,11 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certilin import (BadShiftError, CostMeter, IntegrityError, Poly, PrimeField,
-                      SparseMatrix, identity_matrix, minimal_generator_pair,
-                      oracle_det, oracle_kernel, oracle_minpoly,
-                      poly_gcd, residue_polynomial, solve_shifted,
-                      vector_minpoly,
-                      wiedemann_sequence)
+from certilin import (BadShiftError, CostMeter, IntegrityError, Poly,
+                      PrimeField, SparseMatrix, identity_matrix,
+                      minimal_generator_pair, oracle_det, oracle_kernel,
+                      oracle_minpoly, poly_gcd, residue_polynomial,
+                      solve_shifted, vector_minpoly, wiedemann_sequence)
 from certilin.blackbox import matvec
 from certilin.harness import gen_sparse
 from certilin.oracle import oracle_solve
