@@ -13,7 +13,8 @@ from certilin.harness import (_corrupt_payload_byte, gen_nonsingular,
                               gen_singular, random_nonsingular_dense_checked)
 from certilin.messages import (DiagonalAnnounce, GammaAnnounce,
                                SecondaryProjection, message_bytes,
-                               render_message, wire_cost)
+                               render_message, render_outcome, wire_cost)
+from certilin.protocol import PROTOCOL_IDS
 from certilin.provers import SingularDenialProver
 
 
@@ -266,3 +267,54 @@ def test_transcript_header_format(matrix):
     assert parts[2] == f"n={matrix.n}"
     assert parts[3] == f"p={matrix.field.p}"
     assert parts[4].startswith("matrix=") and len(parts[4]) == 7 + 64
+
+
+def _edits(text):
+    """The transcript as is, then structural edits of its message lines."""
+    lines = text.rstrip("\n").split("\n")
+    head, body, tail = lines[0], lines[1:-1], lines[-1]
+
+    def join(mid):
+        return "\n".join([head, *mid, tail]) + "\n"
+
+    flip = {"prover": "verifier", "verifier": "prover"}
+    yield "none", text
+    for i, line in enumerate(body):
+        yield f"drop {i}", join(body[:i] + body[i + 1:])
+        yield f"duplicate {i}", join(body[:i + 1] + body[i:])
+        role, rest = line.split(" ", 1)
+        yield f"flip {i}", join(body[:i] + [f"{flip[role]} {rest}"] + body[i + 1:])
+    for i in range(len(body) - 1):
+        yield f"swap {i}", join(body[:i] + [body[i + 1], body[i]] + body[i + 2:])
+    yield "strip", join([])
+
+
+def test_replay_verdicts_of_edited_transcripts_pinned(fbig):
+    # Honest Fiat-Shamir transcripts of every protocol, on a nonsingular and
+    # a singular matrix, replayed as they are and after dropping,
+    # duplicating, re-roling or swapping message lines, or stripping them
+    # all.  The verdict and the verifier meter of each replay are pinned, so
+    # any change to the replay path shows up here.
+    rng = Random(6)
+    u = [fbig.sample(rng) for _ in range(6)]
+    v = [fbig.sample(rng) for _ in range(6)]
+    matrices = (random_nonsingular_dense_checked(fbig, 6, Random(7), 0.3),
+                gen_singular(fbig, 6, Random(9)))
+    h = hashlib.sha256()
+    tally = {}
+    for a in matrices:
+        for protocol in PROTOCOL_IDS:
+            kw = {"u": u, "v": v} if protocol.startswith("fauv") else {}
+            transcript, _ = fiat_shamir(protocol, a,
+                                        HonestProver(fbig, Random(1)), **kw)
+            for label, text in _edits(transcript.render()):
+                out, meter = verify_noninteractive(parse_transcript(text), a)
+                verdict = (out.reason if isinstance(out, Reject)
+                           else type(out).__name__)
+                tally[verdict] = tally.get(verdict, 0) + 1
+                h.update(f"{protocol} {label}: {render_outcome(out)} {meter}\n"
+                         .encode())
+    assert tally == {"Accept": 16, "challenge-mismatch": 6,
+                     "malformed-transcript": 290}
+    assert h.hexdigest() == (
+        "90e61c107752df84595bb90d15518ac408bbadfa26dfed48fe30978455fbe139")
