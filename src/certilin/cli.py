@@ -49,9 +49,17 @@ class _Report:
             print("  ".join(f"{k}={v}" for k, v in pairs))
 
 
-def _load_matrix(path: str):
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_sms(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                             f"{exc.start}") from None
+
+
+def _load_matrix(path: str):
+    return parse_sms(_read_text(path))
 
 
 def _check_density(density):
@@ -110,8 +118,7 @@ def cmd_prove(args) -> int:
 
 def cmd_verify(args) -> int:
     a = _load_matrix(args.matrix)
-    with open(args.transcript, "r", encoding="utf-8") as fh:
-        transcript = parse_transcript(fh.read())
+    transcript = parse_transcript(_read_text(args.transcript))
     if (transcript.p != a.field.p or transcript.n != a.n
             or transcript.matrix_digest != matrix_digest(a)):
         print("error: transcript does not match matrix", file=sys.stderr)
@@ -260,10 +267,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CertilinError as exc:
+    except (OSError, CertilinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -111,6 +111,37 @@ def sample_projections(protocol: str, field: PrimeField, n: int, rng: Random) ->
     return {"u": field.sample_vector(rng, n), "v": field.sample_vector(rng, n)}
 
 
+# -- seeded trials ------------------------------------------------------------
+
+
+def _trial_matrix(field: PrimeField, n: int, setup: Random) -> SparseMatrix:
+    return (random_nonsingular_dense_checked(field, n, setup)
+            if n <= oracle_cap() else gen_nonsingular(field, n, setup))
+
+
+def _play_trials(report, cls, a, setup, seed, perfectly_complete=False):
+    """Tally report.trials sessions of ``cls`` provers against a.
+
+    The projections come from ``setup``; trial i seeds its prover and its
+    challenges from ``seed`` under the labels "prover" and "challenge".
+    """
+    field, n = a.field, report.n
+    u = field.sample_vector(setup, n)
+    v = field.sample_vector(setup, n)
+    for i in range(report.trials):
+        prover = cls(field, subseed(seed, "prover", i))
+        _, outcome = run_protocol(report.protocol, a, prover,
+                                  subseed(seed, "challenge", i), u=u, v=v,
+                                  perfectly_complete=perfectly_complete)
+        if isinstance(outcome, Accept):
+            report.accepted += 1
+        elif isinstance(outcome, Reject):
+            report.rejected += 1
+        else:
+            report.bad_challenge += 1
+    return report
+
+
 # -- soundness attacks --------------------------------------------------------
 
 
@@ -163,29 +194,14 @@ def run_attack(protocol: str, strategy: str, trials: int, n: int, p: int,
         raise UsageError("trials must be >= 1")
     field = PrimeField(p)
     setup = subseed(seed, "setup")
-    if strategy == "singular_denial":
-        a = gen_singular(field, n, setup)
-    else:
-        a = (random_nonsingular_dense_checked(field, n, setup)
-             if n <= oracle_cap() else gen_nonsingular(field, n, setup))
-    u = field.sample_vector(setup, n)
-    v = field.sample_vector(setup, n)
-    cls = _strategy_class(protocol, strategy)
+    a = (gen_singular(field, n, setup) if strategy == "singular_denial"
+         else _trial_matrix(field, n, setup))
     bound, label = rejection_bound(protocol, strategy, n, p)
     report = AttackReport(protocol, strategy, n, p, trials, bound=bound,
                           label=label,
                           allowance=three_sigma(bound, trials) if bound else 0.0)
-    for i in range(trials):
-        prover = cls(field, subseed(seed, "prover", i))
-        _, outcome = run_protocol(protocol, a, prover,
-                                  subseed(seed, "challenge", i), u=u, v=v)
-        if isinstance(outcome, Accept):
-            report.accepted += 1
-        elif isinstance(outcome, Reject):
-            report.rejected += 1
-        else:
-            report.bad_challenge += 1
-    return report
+    return _play_trials(report, _strategy_class(protocol, strategy), a, setup,
+                        seed)
 
 
 # -- completeness -----------------------------------------------------------------
@@ -211,24 +227,9 @@ def run_completeness(protocol: str, trials: int, n: int, p: int, seed: int,
                      matrix: SparseMatrix | None = None) -> CompletenessReport:
     field = PrimeField(p)
     setup = subseed(seed, "setup")
-    a = matrix if matrix is not None else (
-        random_nonsingular_dense_checked(field, n, setup)
-        if n <= oracle_cap() else gen_nonsingular(field, n, setup))
-    u = field.sample_vector(setup, n)
-    v = field.sample_vector(setup, n)
-    report = CompletenessReport(protocol, n, p, trials)
-    for i in range(trials):
-        prover = HonestProver(field, subseed(seed, "prover", i))
-        _, outcome = run_protocol(protocol, a, prover,
-                                  subseed(seed, "challenge", i), u=u, v=v,
-                                  perfectly_complete=perfectly_complete)
-        if isinstance(outcome, Accept):
-            report.accepted += 1
-        elif isinstance(outcome, Reject):
-            report.rejected += 1
-        else:
-            report.bad_challenge += 1
-    return report
+    a = matrix if matrix is not None else _trial_matrix(field, n, setup)
+    return _play_trials(CompletenessReport(protocol, n, p, trials),
+                        HonestProver, a, setup, seed, perfectly_complete)
 
 
 # -- budget bench ------------------------------------------------------------------

@@ -43,8 +43,6 @@ def _check_cap(n: int):
 def materialize(op: LinearOp) -> list:
     """Dense row-major copy of a black-box operator (meter-free)."""
     _check_cap(op.n)
-    if isinstance(op, SparseMatrix):
-        return op.to_dense()
     if hasattr(op, "to_dense"):
         return op.to_dense()
     n = op.n
@@ -93,29 +91,37 @@ def dense_det(rows: list, field: PrimeField) -> int:
     return det % p
 
 
-def dense_solve(rows: list, b: list, field: PrimeField):
-    """One solution of A x = b, or None when the system is inconsistent."""
-    p = field.p
-    n = len(rows)
-    m = [rows[i][:] + [b[i] % p] for i in range(n)]
+def _gauss_jordan(m: list, n: int, p: int) -> list:
+    """Reduce the first n columns of the rows m in place.
+
+    Returns the pivot columns; the i-th pivot is a 1 in row i, and every
+    other entry of a pivot column is 0.
+    """
     pivots = []
-    rank = 0
     for col in range(n):
-        piv = next((r for r in range(rank, n) if m[r][col]), None)
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
         m[piv], m[rank] = m[rank], m[piv]
         inv = pow(m[rank][col], -1, p)
         m[rank] = [v * inv % p for v in m[rank]]
-        for r in range(n):
+        for r in range(len(m)):
             if r != rank and m[r][col]:
                 f = m[r][col]
                 m[r] = [(a - f * c) % p for a, c in zip(m[r], m[rank])]
         pivots.append(col)
-        rank += 1
-    for r in range(rank, n):
-        if m[r][n]:
-            return None
+    return pivots
+
+
+def dense_solve(rows: list, b: list, field: PrimeField):
+    """One solution of A x = b, or None when the system is inconsistent."""
+    p = field.p
+    n = len(rows)
+    m = [rows[i][:] + [b[i] % p] for i in range(n)]
+    pivots = _gauss_jordan(m, n, p)
+    if any(m[r][n] for r in range(len(pivots), n)):
+        return None
     x = [0] * n
     for r, col in enumerate(pivots):
         x[col] = m[r][n]
@@ -127,27 +133,13 @@ def dense_kernel(rows: list, field: PrimeField):
     p = field.p
     n = len(rows)
     m = [row[:] for row in rows]
-    pivots = {}
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[piv], m[rank] = m[rank], m[piv]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [v * inv % p for v in m[rank]]
-        for r in range(n):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * c) % p for a, c in zip(m[r], m[rank])]
-        pivots[col] = rank
-        rank += 1
+    pivots = _gauss_jordan(m, n, p)
     free = next((c for c in range(n) if c not in pivots), None)
     if free is None:
         return None
     x = [0] * n
     x[free] = 1
-    for col, r in pivots.items():
+    for r, col in enumerate(pivots):
         x[col] = (-m[r][free]) % p
     return x
 
@@ -265,7 +257,3 @@ def oracle_kernel(a):
         return dense_kernel(rows, a.field)
     return _cached(a, "kernel", compute)
 
-
-def oracle_solve(a, b: list):
-    rows = materialize(a)
-    return dense_solve(rows, b, a.field)

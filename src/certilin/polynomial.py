@@ -258,8 +258,7 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid: returns (g, s, t) with g = s*a + t*b and g monic.
 
     When GCD(a, b) = 1 and deg a > deg b >= 0 the cofactors satisfy the
-    tight bounds deg(s) <= deg(b) - 1 and deg(t) <= deg(a) - 1; the raw
-    Euclidean output is post-reduced when necessary.
+    tight bounds deg(s) <= deg(b) - 1 and deg(t) <= deg(a) - 1.
     """
     f = same_field(a.field, b.field)
     if a.is_zero() and b.is_zero():
@@ -304,28 +303,7 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     g = Poly(f, tuple(r0), _canonical=True)
     s = Poly(f, tuple(s0), _canonical=True)
     t = Poly(f, tuple(t0), _canonical=True)
-    # Tighten deg(s) below deg(b/g); fold the quotient into t.
-    if not b.is_zero():
-        bq = b // g
-        if bq.degree >= 1 and s.degree >= bq.degree:
-            q, s = s.divrem(bq)
-            t = t + q * (a // g)
     return g, s, t
-
-
-def is_coprime_certified(f: Poly, h: Poly, phi: Poly, psi: Poly, r0: int,
-                         meter: CostMeter | None = None) -> bool:
-    """Spot-check the Bezout identity phi*f + psi*h = 1 at one point.
-
-    This is the O(deg) verifier-side coprimality check; it never runs a
-    full GCD.  Charges four Horner evaluations plus 2 muls and 1 add.
-    """
-    field = same_field(f.field, h.field, phi.field, psi.field)
-    lhs = phi.eval(r0, meter) * f.eval(r0, meter) + psi.eval(r0, meter) * h.eval(r0, meter)
-    if meter is not None:
-        meter.mul += 2
-        meter.add += 1
-    return lhs % field.p == 1
 
 
 def berlekamp_massey(field: PrimeField, seq) -> Poly:

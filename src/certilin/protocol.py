@@ -1,15 +1,16 @@
 """Interactive certificates as explicit prover/verifier sessions.
 
 Each protocol is written once as a *flow*: straight-line verifier logic
-that pulls prover messages and pushes challenges through a run object.
-Two run flavors exist.  A live run drives a prover object and a challenge
-source (seeded randomness, or Fiat-Shamir hashing of the canonical
-session bytes) and records the transcript.  A replay run re-executes the
-same flow against a parsed transcript: prover messages are read back,
-challenges are re-derived and compared, every check is re-run and the
-verifier meter is recounted.  Any tampering surfaces as a failed parse,
-a challenge mismatch or a failed check.  One table, ``_PROTOCOLS``, maps
-each protocol id to its flow and to every other fact about it.
+that pulls prover messages and pushes challenges through one run object,
+``_Run``.  A run has two sources for the prover's messages.  Live, it asks
+a prover object for each one; on replay, it reads them back from a parsed
+Fiat-Shamir transcript.  The rest is the same for both: challenges come
+from the challenge source (seeded randomness, or Fiat-Shamir hashing of
+the canonical session bytes) and are compared with the recorded ones,
+every message is recorded and metered, and every check runs.  So any
+tampering with a transcript surfaces as a failed parse, a challenge
+mismatch or a failed check.  One table, ``_PROTOCOLS``, maps each
+protocol id to its flow and to every other fact about it.
 
 Outcomes are three-valued: Accept carries the certified object, Reject
 means the prover was exposed, BadChallenge means the verifier's own
@@ -75,124 +76,84 @@ def _reject(reason: str):
 
 
 class _Run:
-    live = True
+    """One session of a flow, live or replayed.
+
+    A live run (``recorded`` is None) asks the prover's producers for each
+    message; a replay reads the next message of the recorded transcript
+    instead and rejects any other role or kind.  Either way the message is
+    recorded, hashed into the Fiat-Shamir material and charged to its
+    sender's meter, and every check after it runs the same.
+    """
 
     def __init__(self, protocol_id, field, n, digest, challenges,
-                 verifier_meter, prover_meter):
+                 prover_meter, recorded: Transcript | None = None):
         self.field = field
         self.n = n
-        self.vm = verifier_meter
+        self.vm = CostMeter()
         self.pm = prover_meter
         self.challenges = challenges
+        self.recorded = recorded
+        self.live = recorded is None
         self.messages = []
         self._need_material = getattr(challenges, "needs_material", True)
         self._material = (bytearray(header_bytes(protocol_id, n, field.p, digest))
                           if self._need_material else None)
 
-    def _record(self, role, msg):
+    def exhausted(self) -> bool:
+        """Whether a replay has read every recorded message."""
+        return not self.live and len(self.messages) >= len(self.recorded.messages)
+
+    def _take(self, role, kind, producer, optional=False):
+        if self.live:
+            msg = producer()
+            if msg is None and optional:
+                return None
+            if msg.kind != kind:
+                raise UsageError(f"prover produced {msg.kind}, expected {kind}")
+        else:
+            pos = len(self.messages)
+            r, msg = (self.recorded.messages[pos]
+                      if pos < len(self.recorded.messages) else (None, None))
+            if r != role or msg.kind != kind:
+                if optional:
+                    return None
+                _reject("malformed-transcript")
         self.messages.append((role, msg))
         if self._need_material:
             self._material += message_bytes(role, msg)
+        (self.pm if role == "prover" else self.vm).elements_sent += wire_cost(msg)
+        return msg
 
     def draw_quiet(self) -> int:
         self.vm.random_draws += 1
         material = bytes(self._material) if self._need_material else b""
         return self.challenges.draw(self.field, material)
 
-
-class _LiveRun(_Run):
-    live = True
-
     def prover_message(self, kind, producer):
-        msg = producer()
-        if msg.kind != kind:
-            raise UsageError(f"prover produced {msg.kind}, expected {kind}")
-        self._record("prover", msg)
-        self.pm.elements_sent += wire_cost(msg)
-        return msg
+        return self._take("prover", kind, producer)
 
     def prover_maybe(self, kind, producer):
-        msg = producer()
-        if msg is None:
-            return None
-        return self.prover_message(kind, lambda: msg)
+        """An optional prover message: None when the prover sends none."""
+        return self._take("prover", kind, producer, optional=True)
 
     def solution(self, producer):
-        w = producer()
-        if w is None:
-            raise _BadChallengeSignal("unlucky-challenge")
-        return self.prover_message("solution", lambda: Solution(tuple(w)))
+        """The prover's solution message.
+
+        A live prover that has none, or a replay whose transcript ends here
+        in BadChallenge, makes the session a bad challenge.
+        """
+        def produce():
+            w = producer()
+            if w is None:
+                raise _BadChallengeSignal("unlucky-challenge")
+            return Solution(tuple(w))
+
+        if self.exhausted() and isinstance(self.recorded.outcome, BadChallenge):
+            raise _BadChallengeSignal(self.recorded.outcome.detail)
+        return self._take("prover", "solution", produce)
 
     def record_challenge(self, value) -> int:
-        self._record("verifier", PointChallenge(value))
-        self.vm.elements_sent += 1
-        return value
-
-    def challenge(self) -> int:
-        return self.record_challenge(self.draw_quiet())
-
-    def drawn_projection(self, n):
-        u = [self.draw_quiet() for _ in range(n)]
-        v = [self.draw_quiet() for _ in range(n)]
-        self._record("verifier", Projection(tuple(u), tuple(v)))
-        self.vm.elements_sent += 2 * n
-        return u, v
-
-    def public_projection(self, u, v):
-        self._record("verifier", Projection(tuple(u), tuple(v)))
-        self.vm.elements_sent += 2 * len(u)
-        return list(u), list(v)
-
-
-class _ReplayRun(_Run):
-    live = False
-
-    def __init__(self, transcript: Transcript, field, challenges):
-        super().__init__(transcript.protocol_id, field, transcript.n,
-                         transcript.matrix_digest, challenges,
-                         CostMeter(), CostMeter())
-        self._queue = list(transcript.messages)
-        self._pos = 0
-        self._recorded_outcome = transcript.outcome
-
-    def _peek(self):
-        if self._pos < len(self._queue):
-            return self._queue[self._pos]
-        return None, None
-
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._queue)
-
-    def _next(self, role, kind):
-        if self._pos >= len(self._queue):
-            _reject("malformed-transcript")
-        r, msg = self._queue[self._pos]
-        if r != role or msg.kind != kind:
-            _reject("malformed-transcript")
-        self._pos += 1
-        self._record(role, msg)
-        if role == "prover":
-            self.pm.elements_sent += wire_cost(msg)
-        else:
-            self.vm.elements_sent += wire_cost(msg)
-        return msg
-
-    def prover_message(self, kind, producer):
-        return self._next("prover", kind)
-
-    def prover_maybe(self, kind, producer):
-        r, msg = self._peek()
-        if r == "prover" and msg is not None and msg.kind == kind:
-            return self._next("prover", kind)
-        return None
-
-    def solution(self, producer):
-        if self.exhausted() and isinstance(self._recorded_outcome, BadChallenge):
-            raise _BadChallengeSignal(self._recorded_outcome.detail)
-        return self._next("prover", "solution")
-
-    def record_challenge(self, value) -> int:
-        msg = self._next("verifier", "challenge")
+        msg = self._take("verifier", "challenge", lambda: PointChallenge(value))
         if msg.value != value:
             _reject("challenge-mismatch")
         return value
@@ -201,15 +162,16 @@ class _ReplayRun(_Run):
         return self.record_challenge(self.draw_quiet())
 
     def drawn_projection(self, n):
-        u = [self.draw_quiet() for _ in range(n)]
-        v = [self.draw_quiet() for _ in range(n)]
-        msg = self._next("verifier", "projection")
-        if msg.u != tuple(u) or msg.v != tuple(v):
+        u = tuple(self.draw_quiet() for _ in range(n))
+        v = tuple(self.draw_quiet() for _ in range(n))
+        msg = self._take("verifier", "projection", lambda: Projection(u, v))
+        if msg.u != u or msg.v != v:
             _reject("challenge-mismatch")
-        return u, v
+        return list(u), list(v)
 
     def public_projection(self, u, v):
-        msg = self._next("verifier", "projection")
+        msg = self._take("verifier", "projection",
+                         lambda: Projection(tuple(u), tuple(v)))
         if len(msg.u) != self.n or len(msg.v) != self.n:
             _reject("malformed-transcript")
         return list(msg.u), list(msg.v)
@@ -266,16 +228,7 @@ def _fauv_core(run, box, prover, u, v, *, merged, require_deg=None,
     if (e_phi * e_gen0 + e_psi * e_res0) % p != 1:
         _reject("coprimality-check")
 
-    sol = run.solution(lambda: prover.solution(r1))
-    w = list(sol.w)
-    if len(w) != n:
-        _reject("malformed-solution")
-
-    image = matvec(box, w, vm)
-    residual = scale_sub(field, r1, w, image, vm)
-    if residual != v:
-        _reject("residual-check")
-
+    w = _checked_solution(run, box, r1, v, lambda: prover.solution(r1))
     if merged:
         e_gen1, e_res1 = e_gen0, e_res0
     else:
@@ -289,6 +242,29 @@ def _fauv_core(run, box, prover, u, v, *, merged, require_deg=None,
     if uw * e_gen1 % p != e_res1:
         _reject("evaluation-check")
     return gen
+
+
+def _checked_solution(run, box, r1, target, producer):
+    """The prover's w, checked to solve (r1 I - box) w = target."""
+    w = list(run.solution(producer).w)
+    if len(w) != box.n:
+        _reject("malformed-solution")
+    image = matvec(box, w, run.vm)
+    if scale_sub(run.field, r1, w, image, run.vm) != target:
+        _reject("residual-check")
+    return w
+
+
+def _gamma_announce(run, n, producer):
+    """The prover's Gamma preconditioner and its determinant, checked nonzero."""
+    msg = run.prover_message("precond", producer)
+    if not isinstance(msg, GammaAnnounce):
+        _reject("malformed-preconditioner")
+    gamma = GammaMatrix(run.field, n, t=msg.t, s=msg.s)
+    denom = gamma_det(gamma, run.vm)
+    if denom == 0:
+        _reject("gamma-singular")
+    return gamma, denom
 
 
 def _witness_branch(run, box, prover):
@@ -330,8 +306,6 @@ def _extract_det(run, gen, denominator) -> int:
 
 def _flow_fauv(run, a, prover, u, v, merged=False):
     u, v = run.public_projection(u, v)
-    if len(u) != a.n or len(v) != a.n:
-        _reject("malformed-transcript")
     if run.live:
         prover.open_session(a, u, v)
     return _fauv_core(run, a, prover, u, v, merged=merged)
@@ -391,31 +365,17 @@ def _flow_det_diag(run, a, prover, u, v):
     return _extract_det(run, gen, det_d)
 
 
-def _det_gamma_core(run, box, prover):
-    singular = _witness_branch(run, box, prover)
+def _flow_det_gamma(run, a, prover, u, v):
+    singular = _witness_branch(run, a, prover)
     if singular is not None:
         return singular
-    field, n = run.field, box.n
-    if run.live:
-        s, t = prover.choose_gamma(box)
-    else:
-        s = t = None
-    gmsg = run.prover_message("precond", lambda: GammaAnnounce(s, t))
-    if not isinstance(gmsg, GammaAnnounce):
-        _reject("malformed-preconditioner")
-    gamma = GammaMatrix(field, n, t=gmsg.t, s=gmsg.s)
-    denom = gamma_det(gamma, run.vm)
-    if denom == 0:
-        _reject("gamma-singular")
-    preconditioned = ProductOp(box, gamma)
+    n = a.n
+    gamma, denom = _gamma_announce(
+        run, n, lambda: GammaAnnounce(*prover.choose_gamma(a)))
     e1 = [1] + [0] * (n - 1)
-    gen = _fauv_core(run, preconditioned, prover, e1, e1, merged=True,
+    gen = _fauv_core(run, ProductOp(a, gamma), prover, e1, e1, merged=True,
                      require_deg=n, basis_projection=True)
     return _extract_det(run, gen, denom)
-
-
-def _flow_det_gamma(run, a, prover, u, v):
-    return _det_gamma_core(run, a, prover)
 
 
 _SIMPLE_CHALLENGE_TRIES = 64
@@ -425,19 +385,12 @@ def _flow_det_simple(run, a, prover, u, v):
     singular = _witness_branch(run, a, prover)
     if singular is not None:
         return singular
-    field, vm, n = run.field, run.vm, a.n
-    p = field.p
+    vm, n = run.vm, a.n
     if run.live:
         s, t, char_full, char_minor = prover.choose_simple(a)
     else:
         s = t = char_full = char_minor = None
-    gmsg = run.prover_message("precond", lambda: GammaAnnounce(s, t))
-    if not isinstance(gmsg, GammaAnnounce):
-        _reject("malformed-preconditioner")
-    gamma = GammaMatrix(field, n, t=gmsg.t, s=gmsg.s)
-    denom = gamma_det(gamma, vm)
-    if denom == 0:
-        _reject("gamma-singular")
+    gamma, denom = _gamma_announce(run, n, lambda: GammaAnnounce(s, t))
     com = run.prover_message("commit", lambda: Commitment(char_full, char_minor))
     full, minor = com.gen, com.res
     if not full.is_monic() or full.degree != n:
@@ -458,19 +411,12 @@ def _flow_det_simple(run, a, prover, u, v):
     if r1 is None:
         raise _BadChallengeSignal("no-usable-challenge")
     run.record_challenge(r1)
-    sol = run.solution(lambda: prover.simple_solution(r1))
-    w = list(sol.w)
-    if len(w) != n:
-        _reject("malformed-solution")
-    box = ProductOp(a, gamma)
-    image = matvec(box, w, vm)
-    residual = scale_sub(field, r1, w, image, vm)
     e_last = [0] * (n - 1) + [1]
-    if residual != e_last:
-        _reject("residual-check")
+    w = _checked_solution(run, ProductOp(a, gamma), r1, e_last,
+                          lambda: prover.simple_solution(r1))
     e_minor = minor.eval(r1, vm)
     vm.mul += 1
-    if w[n - 1] * e_full % p != e_minor:
+    if w[n - 1] * e_full % run.field.p != e_minor:
         _reject("cramer-check")
     return _extract_det(run, full, denom)
 
@@ -487,7 +433,7 @@ def _flow_charpoly(run, a, prover, u, v):
         _reject("malformed-commitment")
     point = run.challenge()
     shifted = ShiftOp(point, a)
-    sub = _det_gamma_core(run, shifted, prover)
+    sub = _flow_det_gamma(run, shifted, prover, u, v)
     e_claim = claim.eval(point, vm)
     if isinstance(sub, SingularResult):
         if e_claim != 0:
@@ -506,8 +452,9 @@ class ProtocolSpec:
 
     ``flow`` is the verifier logic, ``certify`` the name of the public entry
     point that runs it live, with ``options`` as its fixed keyword arguments.
-    Budgets take (mu, n, log_term) and n; None means no bound is enforced.  ``generator_unsent`` leaves the committed generator out of
-    the communication count, since it is the protocol's output.  ``result``
+    Budgets take (mu, n, log_term) and n; None means no bound is enforced.
+    ``generator_unsent`` leaves the committed generator out of the
+    communication count, since it is the protocol's output.  ``result``
     names what an Accept certifies: "generator", "minpoly", "charpoly" or
     "det".  ``strategy_aliases`` maps an attack strategy to the prover that
     plays it against this protocol; ``cli`` offers the id on the command line
@@ -633,8 +580,7 @@ def _play(protocol_id, run, a, prover=None, u=None, v=None):
 def _execute(protocol_id, a, prover, challenges, u=None, v=None):
     require_field_size(protocol_id, a.n, a.field.p)
     digest = matrix_digest(a)
-    run = _LiveRun(protocol_id, a.field, a.n, digest, challenges,
-                   CostMeter(), prover.meter)
+    run = _Run(protocol_id, a.field, a.n, digest, challenges, prover.meter)
     outcome = _play(protocol_id, run, a, prover, u, v)
     transcript = Transcript(protocol_id, a.n, a.field.p, digest,
                             run.messages, outcome, run.vm,
@@ -727,7 +673,8 @@ def verify_noninteractive(transcript: Transcript, a: SparseMatrix):
         raise UsageError("transcript digest does not match the matrix")
     pid = transcript.protocol_id
     require_field_size(pid, a.n, a.field.p)
-    run = _ReplayRun(transcript, a.field, FiatShamirChallenges())
+    run = _Run(pid, a.field, a.n, transcript.matrix_digest,
+               FiatShamirChallenges(), CostMeter(), recorded=transcript)
     outcome = _play(pid, run, a)
     if isinstance(outcome, Accept) and not run.exhausted():
         outcome = Reject("malformed-transcript")

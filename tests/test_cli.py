@@ -252,14 +252,19 @@ def test_invalid_arguments_are_usage_errors(argv):
 
 
 @pytest.mark.parametrize("command", ["prove-matrix", "verify-matrix",
-                                     "verify-transcript", "gen-matrix"])
+                                     "verify-transcript", "gen-matrix",
+                                     "prove-undecodable", "verify-undecodable"])
 def test_unusable_paths_are_errors(tmp_path, matrix_file, command):
-    # A directory where a file is expected: an OSError other than
-    # FileNotFoundError must still end in "error: ..." and exit 1.
+    # A directory where a file is expected, or a file that is not UTF-8 (it
+    # starts with a UTF-16 byte-order mark): an OSError other than
+    # FileNotFoundError, or a decoding error, must still end in "error: ..."
+    # and exit 1.
     transcript = tmp_path / "t.txt"
     assert run_cli("prove", "--protocol", "det-gamma", "--matrix", str(matrix_file),
                    "--transcript", str(transcript))[0] == 0
     folder = str(tmp_path)
+    undecodable = tmp_path / "utf16.txt"
+    undecodable.write_bytes(b"\xff\xfe" + "4 4 7\n".encode("utf-16-le"))
     argv = {
         "prove-matrix": ("prove", "--protocol", "det-gamma", "--matrix", folder),
         "verify-matrix": ("verify", "--transcript", str(transcript), "--matrix", folder),
@@ -267,6 +272,10 @@ def test_unusable_paths_are_errors(tmp_path, matrix_file, command):
                               "--matrix", str(matrix_file)),
         "gen-matrix": ("gen", "--n", "4", "--density", "0.5", "--modulus", "7",
                        "--matrix", folder),
+        "prove-undecodable": ("prove", "--protocol", "det-gamma",
+                              "--matrix", str(undecodable)),
+        "verify-undecodable": ("verify", "--transcript", str(undecodable),
+                               "--matrix", str(matrix_file)),
     }[command]
     code, out, err = run_cli(*argv)
     assert code == 1

@@ -10,7 +10,7 @@ from certilin import (BadShiftError, CostMeter, IntegrityError, Poly,
                       solve_shifted, vector_minpoly, wiedemann_sequence)
 from certilin.blackbox import matvec
 from certilin.harness import gen_sparse
-from certilin.oracle import oracle_solve
+from certilin.oracle import dense_solve
 
 from conftest import PRIME_BIG
 
@@ -120,8 +120,7 @@ def test_solve_shifted_swap(f7):
     w = solve_shifted(a, 2, [1, 0], P(f7, 6, 0, 1))
     assert w == [3, 5]
     # Dense oracle cross-check.
-    assert oracle_solve(SparseMatrix(f7, 2, [(0, 0, 2), (0, 1, 6), (1, 0, 6), (1, 1, 2)]),
-                        [1, 0]) == [3, 5]
+    assert dense_solve([[2, 6], [6, 2]], [1, 0], f7) == [3, 5]
 
 
 def test_solve_shifted_bad_shift(f7):

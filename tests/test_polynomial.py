@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from certilin import (CostMeter, DomainError, Poly, PrimeField, UsageError,
-                      berlekamp_massey, is_coprime_certified, poly_gcd,
-                      poly_lcm, xgcd)
+                      berlekamp_massey, poly_gcd, poly_lcm, xgcd)
 from certilin.messages import POLY
 from certilin.polynomial import NEG_INF
 
@@ -244,49 +243,6 @@ def test_bm_random_sequences_minimal(f101):
             assert f.degree <= oracle.degree
 
 
-# -- certified coprimality check ----------------------------------------------------
-
-
-def test_coprime_certified_true_identity(f101):
-    f, h = P(f101, -1, 0, 1), P(f101, 0, 1)
-    _, phi, psi = xgcd(f, h)
-    for r0 in (0, 1, 50, 100):
-        assert is_coprime_certified(f, h, phi, psi, r0)
-
-
-def test_coprime_certified_trivial_false(f7):
-    f = P(f7, 0, 1)
-    assert not is_coprime_certified(f, f, P(f7, 1), P(f7, 1), 0)
-
-
-def test_coprime_certified_rejects_random_pairs(fbig):
-    n = 10
-    p = PRIME_BIG
-    rng = Random(3)
-    f = Poly(fbig, [rng.randrange(p) for _ in range(n)] + [1])
-    h = Poly(fbig, [rng.randrange(p) for _ in range(n - 1)] + [1])
-    trials, false_count = 2000, 0
-    for _ in range(trials):
-        phi = Poly(fbig, [rng.randrange(p) for _ in range(n - 1)])
-        psi = Poly(fbig, [rng.randrange(p) for _ in range(n)])
-        if (phi * f + psi * h) == Poly.one(fbig):
-            continue  # astronomically unlikely
-        r0 = rng.randrange(p)
-        if not is_coprime_certified(f, h, phi, psi, r0):
-            false_count += 1
-    bound = 1 - (2 * n - 2) / p
-    assert false_count / trials >= bound - 3 * ((bound * (1 - bound) / trials) ** 0.5 + 1e-9)
-
-
-def test_coprime_certified_meter(f101):
-    f, h = P(f101, -1, 0, 1), P(f101, 0, 1)
-    _, phi, psi = xgcd(f, h)
-    m = CostMeter()
-    is_coprime_certified(f, h, phi, psi, 3, m)
-    # Four Horner evaluations plus the final combination.
-    assert m.mul == f.degree + h.degree + max(phi.degree, 0) + max(psi.degree, 0) + 2
-
-
 def test_mixed_field_polys_rejected(f7, f101):
     with pytest.raises(UsageError):
         P(f7, 1, 1) + P(f101, 1, 1)
@@ -370,6 +326,9 @@ def test_xgcd_bezout_and_tight_bounds(pair):
     if g.degree == 0 and a.degree > b.degree >= 0:
         assert s.degree < b.degree
         assert t.degree < a.degree
+    # Euclid's own cofactors are tight: no reduction step is needed.
+    if not b.is_zero() and (b // g).degree >= 1:
+        assert s.degree < (b // g).degree
 
 
 @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=10))

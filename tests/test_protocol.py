@@ -359,6 +359,27 @@ def test_invalid_bezout_identity_rejected(fbig):
     assert outcome == Reject("coprimality-check")
 
 
+def test_random_bezout_pairs_rejected(fbig):
+    # A Bezout pair of the allowed degrees that is not the true one passes
+    # the one-point coprimality check with probability at most
+    # (deg gen + deg res - 1) / p.
+    class RandomBezoutProver(HonestProver):
+        def bezout(self):
+            gen, res = self._commit.gen, self._commit.res
+            phi = [self.rng.randrange(self.field.p) for _ in range(res.degree)]
+            psi = [self.rng.randrange(self.field.p) for _ in range(gen.degree)]
+            return Poly(self.field, phi), Poly(self.field, psi)
+
+    a = random_nonsingular_dense_checked(fbig, 10, Random(3), 0.3)
+    rng = Random(4)
+    u = [fbig.sample(rng) for _ in range(a.n)]
+    v = [fbig.sample(rng) for _ in range(a.n)]
+    prover = RandomBezoutProver(fbig, Random(5))
+    for seed in range(300):
+        _, outcome = certify_generator(a, u, v, prover, rng=seed)
+        assert outcome == Reject("coprimality-check"), seed
+
+
 def test_zero_diagonal_entry_rejected(fbig):
     class ZeroDiagProver(HonestProver):
         def choose_diagonal(self, box):
