@@ -10,12 +10,13 @@ from certilin import (Accept, Bezout, Commitment, HonestProver, ParseError,
                       identity_matrix, parse_transcript,
                       verify_noninteractive)
 from certilin.harness import (_corrupt_payload_byte, gen_nonsingular,
-                              gen_singular, random_nonsingular_dense_checked)
+                              gen_singular, random_nonsingular_dense_checked,
+                              run_protocol)
 from certilin.messages import (DiagonalAnnounce, GammaAnnounce,
                                SecondaryProjection, message_bytes,
                                render_message, render_outcome, wire_cost)
 from certilin.protocol import PROTOCOL_IDS
-from certilin.provers import SingularDenialProver
+from certilin.provers import SingularDenialProver, WrongGeneratorProver
 
 
 @pytest.fixture()
@@ -101,6 +102,30 @@ def test_fs_transcript_pinned_at_n150(fbig, protocol, digest, field_ops):
     assert hashlib.sha256(transcript.render().encode()).hexdigest() == digest
     assert transcript.prover_meter.matvec == 449
     assert transcript.prover_meter.field_ops == field_ops
+
+
+def test_interactive_dense_prover_sessions_pinned(fbig):
+    # Interactive n=10 sessions whose prover works densely: det-simple
+    # (B = A*Gamma and the charpolys of B and its leading minor) honest and
+    # with a wrong generator, and charpoly.  The sha256 of every rendered
+    # transcript, outcome and both meters is pinned.
+    a = random_nonsingular_dense_checked(fbig, 10, Random(10))
+    kinds = [("det-simple", WrongGeneratorProver), ("det-simple", HonestProver),
+             ("charpoly", HonestProver)]
+    h = hashlib.sha256()
+    tally = {}
+    for i in range(20):
+        protocol, cls = kinds[i % 3]
+        transcript, outcome = run_protocol(protocol, a, cls(fbig, Random(i)),
+                                           Random(100 + i))
+        verdict = type(outcome).__name__
+        tally[verdict] = tally.get(verdict, 0) + 1
+        h.update(f"{protocol}/{cls.name}\n{transcript.render()}"
+                 f"{render_outcome(outcome)}\n{transcript.prover_meter}\n"
+                 f"{transcript.verifier_meter}\n".encode())
+    assert tally == {"Accept": 13, "Reject": 7}
+    assert h.hexdigest() == (
+        "23d4c0a94c082a8b6effdbb1fd99e7fbafd2102a31699a800c3c7c2d87d79c73")
 
 
 KIND_PINS = {
