@@ -300,5 +300,7 @@ def emit_sms(a: SparseMatrix) -> str:
 
 
 def matrix_digest(a: SparseMatrix) -> str:
-    """Hex digest of the canonical SMS form, used in transcript headers."""
-    return hashlib.sha256(emit_sms(a).encode()).hexdigest()
+    """Cached hex digest of the canonical SMS form, used in transcript headers."""
+    if "digest" not in a._cache:
+        a._cache["digest"] = hashlib.sha256(emit_sms(a).encode()).hexdigest()
+    return a._cache["digest"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 
 from .blackbox import LinearOp, SparseMatrix
-from .errors import OracleCapError, UsageError
+from .errors import IntegrityError, OracleCapError, UsageError
 from .field import PrimeField
 from .polynomial import Poly
 
@@ -150,15 +150,22 @@ def dense_kernel(rows: list, field: PrimeField):
 def _interpolate(field: PrimeField, xs: list, ys: list) -> Poly:
     """Lagrange interpolation through distinct points."""
     p = field.p
-    full = Poly.one(field)
+    full = [1]   # prod (X - x_i), low to high
     for x in xs:
-        full = full * Poly(field, [(-x) % p, 1])
-    acc = Poly.zero(field)
+        full = [(b - x * a) % p for a, b in zip(full + [0], [0] + full)]
+    acc = [0] * len(xs)   # high to low
     for xi, yi in zip(xs, ys):
-        basis = full // Poly(field, [(-xi) % p, 1])
-        denom = basis.eval(xi)
-        acc = acc + basis.scale(yi * pow(denom, -1, p) % p)
-    return acc
+        # basis = full / (X - xi) by synthetic division, high to low.
+        basis, carry = [], 0
+        for c in reversed(full[1:]):
+            carry = (c + xi * carry) % p
+            basis.append(carry)
+        denom = 0
+        for c in basis:
+            denom = (denom * xi + c) % p
+        k = yi * pow(denom, -1, p) % p
+        acc = [(a + k * c) % p for a, c in zip(acc, basis)]
+    return Poly(field, acc[::-1])
 
 
 def oracle_det(a) -> int:
@@ -174,14 +181,17 @@ def dense_charpoly(rows: list, field: PrimeField) -> Poly:
     p = field.p
     if p <= n:
         raise UsageError("charpoly oracle needs p > n for distinct sample points")
+    neg = [[(-v) % p for v in row] for row in rows]
     xs, ys = [], []
     for x in range(n + 1):
-        shifted = [[(x * (i == j) - rows[i][j]) % p for j in range(n)]
-                   for i in range(n)]
+        shifted = [row[:] for row in neg]
+        for i in range(n):
+            shifted[i][i] = (x + neg[i][i]) % p
         xs.append(x)
         ys.append(dense_det(shifted, field))
     poly = _interpolate(field, xs, ys)
-    assert poly.is_monic() and poly.degree == n
+    if not (poly.is_monic() and poly.degree == n):
+        raise IntegrityError(f"interpolated charpoly is not monic of degree {n}")
     return poly
 
 

@@ -225,15 +225,17 @@ def poly_gcd(a: Poly, b: Poly, meter: CostMeter | None = None) -> Poly:
     A meter is charged the coefficient operations of each division step
     and one inversion per step.
     """
-    same_field(a.field, b.field)
-    while not b.is_zero():
+    f = same_field(a.field, b.field)
+    p = f.p
+    a, b = list(a.coeffs), list(b.coeffs)
+    while b:
         if meter is not None:
-            cost = max(a.degree - b.degree + 1, 0) * (len(b.coeffs) + 1)
+            cost = max(len(a) - len(b) + 1, 0) * (len(b) + 1)
             meter.mul += cost
             meter.add += cost
             meter.inv += 1
-        a, b = b, a % b
-    return a.monic()
+        a, b = b, _divrem(a, b, p)[1]
+    return Poly(f, tuple(a), _canonical=True).monic()
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:

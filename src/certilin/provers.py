@@ -181,9 +181,9 @@ class HonestProver:
             gamma = GammaMatrix(field, n, t=t, s=s)
             if gamma_det(gamma) == 0:
                 continue
-            gd = gamma.to_dense()
-            rows = [[sum(dense[i][k] * gd[k][j] for k in range(n)) % p
-                     for j in range(n)] for i in range(n)]
+            # B = A*Gamma by rows: Gamma is t*I, -1 above the diagonal, s at (n-1, 0).
+            rows = [[(t * r[0] + s * r[-1]) % p]
+                    + [(t * x - y) % p for x, y in zip(r[1:], r)] for r in dense]
             char_full = dense_charpoly(rows, field)
             char_minor = dense_charpoly([r[:n - 1] for r in rows[:n - 1]], field)
             if not self._accept_preconditioner(

@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -173,3 +174,11 @@ def test_matrix_digest_distinguishes(f101):
     b = SparseMatrix(f101, 4, list(a.entries) + [(0, 1, 1)])
     assert matrix_digest(a) != matrix_digest(b)
     assert len(matrix_digest(a)) == 64
+
+
+def test_matrix_digest_is_cached(f101):
+    a = gen_sparse(f101, 6, 0.5, Random(4))
+    digest = matrix_digest(a)
+    assert digest == hashlib.sha256(emit_sms(a).encode()).hexdigest()
+    assert a._cache["digest"] == digest
+    assert matrix_digest(a) is digest

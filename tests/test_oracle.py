@@ -2,12 +2,15 @@ from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from certilin import (OracleCapError, Poly, SparseMatrix, identity_matrix,
-                      oracle_charpoly, oracle_det, oracle_kernel,
-                      oracle_minpoly, vector_minpoly)
+from certilin import (IntegrityError, OracleCapError, Poly, PrimeField,
+                      SparseMatrix, identity_matrix, oracle_charpoly,
+                      oracle_det, oracle_kernel, oracle_minpoly,
+                      vector_minpoly)
+from certilin import oracle
 from certilin.blackbox import matvec
-from certilin.oracle import dense_solve, materialize
+from certilin.oracle import _interpolate, dense_solve, materialize
 from certilin.harness import gen_sparse
 
 
@@ -87,6 +90,33 @@ def test_charpoly_structure(f101):
         assert trace == (-c.coeffs[n - 1]) % 101
         # minimal polynomial divides the characteristic polynomial
         assert c % oracle_minpoly(a) == Poly.zero(f101)
+
+
+@st.composite
+def interpolation_cases(draw):
+    p = draw(st.sampled_from([7, 101]))
+    n = draw(st.integers(0, min(p - 1, 12)))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=n + 1, max_size=n + 1))
+    if draw(st.booleans()):
+        coeffs = [0] * (n + 1)
+    xs = draw(st.permutations(range(p)))[:n + 1]
+    return Poly(PrimeField(p), coeffs), xs
+
+
+@given(interpolation_cases())
+@settings(max_examples=300, deadline=None)
+def test_interpolate_recovers_polynomials(case):
+    # A polynomial of degree <= n (the zero polynomial included) comes back
+    # from its values at n+1 distinct points.
+    poly, xs = case
+    assert _interpolate(poly.field, xs, [poly.eval(x) for x in xs]) == poly
+
+
+def test_charpoly_checks_its_interpolant(f101, monkeypatch):
+    # A charpoly that is not monic of degree n raises, also under python -O.
+    monkeypatch.setattr(oracle, "dense_det", lambda rows, field: 0)
+    with pytest.raises(IntegrityError):
+        oracle.dense_charpoly([[1, 2], [3, 4]], f101)
 
 
 def test_minpoly_annihilates(f101):

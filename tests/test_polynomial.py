@@ -331,6 +331,46 @@ def test_xgcd_bezout_and_tight_bounds(pair):
         assert s.degree < (b // g).degree
 
 
+@st.composite
+def gcd_pairs(draw):
+    a, b = draw(euclid_pairs())
+    f = a.field
+    shape = draw(st.sampled_from(["as drawn", "a | b", "equal degrees"]))
+    if shape == "a | b":
+        b = a * Poly(f, draw(coeffs7))
+    elif shape == "equal degrees":
+        lower = draw(coeffs7)[:max(len(a.coeffs) - 1, 0)]
+        b = a.scale(draw(st.integers(1, 6))) + Poly(f, lower)
+    return a, b
+
+
+def reference_gcd(a, b):
+    """Euclid on Poly objects, charging each step as poly_gcd does."""
+    meter = CostMeter()
+    while not b.is_zero():
+        cost = max(a.degree - b.degree + 1, 0) * (len(b.coeffs) + 1)
+        meter.mul += cost
+        meter.add += cost
+        meter.inv += 1
+        a, b = b, a.divrem(b)[1]
+    return a.monic(), meter
+
+
+@given(gcd_pairs())
+@settings(max_examples=400, deadline=None)
+def test_poly_gcd_matches_xgcd_and_reference_meter(pair):
+    a, b = pair
+    meter = CostMeter()
+    g = poly_gcd(a, b, meter)
+    ref, ref_meter = reference_gcd(a, b)
+    assert g == ref
+    assert meter == ref_meter
+    if a.is_zero() and b.is_zero():
+        assert g.is_zero()
+    else:
+        assert g == xgcd(a, b)[0]
+
+
 @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=10))
 @settings(max_examples=400, deadline=None)
 def test_bm_matches_bruteforce_gf7(seq):

@@ -2,11 +2,12 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from certilin import (Accept, BadChallenge, FieldTooSmallError,
-                      GeneratorPair, HonestProver, Poly, PrimeField, Reject,
-                      ScriptedChallenges, SingularResult, SparseMatrix,
-                      UsageError,
+                      GammaMatrix, GeneratorPair, HonestProver, Poly,
+                      PrimeField, ProductOp, Reject, ScriptedChallenges,
+                      SingularResult, SparseMatrix, UsageError,
                       budget_report, certify_charpoly, certify_det_diag,
                       certify_det_gamma, certify_det_simple,
                       certify_generator, certify_minpoly, field_size_bound,
@@ -15,6 +16,7 @@ from certilin import (Accept, BadChallenge, FieldTooSmallError,
 from certilin.challenges import RandomChallenges
 from certilin.harness import (gen_singular, gen_sparse,
                               random_nonsingular_dense_checked, run_protocol)
+from certilin.oracle import materialize
 from certilin.protocol import PROTOCOL_IDS
 
 
@@ -204,6 +206,34 @@ def test_det_simple(f101, fbig):
         a = random_nonsingular_dense_checked(fbig, 3, rng, 0.6)
         _, outcome = certify_det_simple(a, rng=seed)
         assert outcome == Accept(oracle_det(a))
+
+
+class FirstDraws(Random):
+    """A Random whose first randrange calls return the given values."""
+
+    def __init__(self, seed, first):
+        super().__init__(seed)
+        self.first = list(first)
+
+    def randrange(self, *args):
+        return self.first.pop(0) if self.first else super().randrange(*args)
+
+
+@given(st.integers(1, 8), st.integers(0, 99), st.sampled_from([0, 1, 2, 999_999]),
+       st.sampled_from([0, 1, 3, 1_000_002]))
+@example(n=5, seed=0, s=0, t=4)
+@example(n=5, seed=0, s=7, t=0)
+@settings(max_examples=60, deadline=None)
+def test_choose_simple_rows_are_a_times_gamma(n, seed, s, t):
+    # The prover builds B = A*Gamma row by row from Gamma's structure; it
+    # must equal the product of the two operators, for the (s, t) drawn
+    # first (t = 0 or s = 0 included) or a later draw when that one fails.
+    field = PrimeField(1_000_003)
+    a = random_nonsingular_dense_checked(field, n, Random(seed))
+    prover = HonestProver(field, FirstDraws(seed, [s, t]))
+    got_s, got_t, _, _ = prover.choose_simple(a)
+    gamma = GammaMatrix(field, n, t=got_t, s=got_s)
+    assert prover._simple["rows"] == materialize(ProductOp(a, gamma))
 
 
 def test_det_gamma_randomness_economy(fbig):
