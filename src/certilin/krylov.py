@@ -4,14 +4,20 @@ Given a black-box operator A and projections u, v, the scalar sequence
 a_i = u^T A^i v is linearly generated; its monic minimal generator f and
 the residue polynomial r (the polynomial part of f times the sequence's
 generating function in descending powers) form a coprime pair with
-deg r < deg f.  The pair is what a prover commits to, and the residue is
-also the key to solving shifted systems (q*I - A) w = v with deg(f) - 1
-applications of A.
+deg r < deg f.  The pair is what a prover commits to, and the generator is
+also the key to solving shifted systems (q*I - A) w = v.
+
+The Krylov pass that finds the pair keeps every s-th vector A^k v for
+k < n, s = isqrt(n) (the "giant steps").  The shifted solve evaluates its
+quotient polynomial at A from them by baby steps and giant steps (Paterson
+& Stockmeyer 1973): min(s, deg f) applications of A, residual check
+included, instead of deg f for plain Horner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from math import isqrt
 from operator import mul
 
 from .blackbox import LinearOp, matvec
@@ -22,15 +28,26 @@ from .polynomial import Poly
 
 @dataclass(frozen=True)
 class GeneratorPair:
-    """Monic minimal generator and its residue; coprime, deg res < deg gen."""
+    """Monic minimal generator and its residue; coprime, deg res < deg gen.
+
+    ``giants`` holds the giant steps A^(k*s) v (k*s < n, s = isqrt(n)) of
+    the Krylov pass that found the pair, for ``solve_shifted``; it is empty
+    for a pair built any other way.
+    """
 
     gen: Poly
     res: Poly
+    giants: tuple = dc_field(default=(), compare=False, repr=False)
 
 
 def wiedemann_sequence(op: LinearOp, u: list, v: list, length: int,
-                       meter: CostMeter | None = None) -> list:
-    """(u^T A^i v) for i < length, using length-1 matvecs and length dots."""
+                       meter: CostMeter | None = None,
+                       giants: list | None = None) -> list:
+    """(u^T A^i v) for i < length, using length-1 matvecs and length dots.
+
+    A ``giants`` list receives A^i v for every i < min(length, n) that is a
+    multiple of isqrt(n).
+    """
     if length < 1:
         raise UsageError("sequence length must be >= 1")
     if len(u) != op.n or len(v) != op.n:
@@ -38,9 +55,12 @@ def wiedemann_sequence(op: LinearOp, u: list, v: list, length: int,
     p = op.field.p
     seq = []
     cur = list(v)
+    stride = isqrt(op.n)
     for i in range(length):
         if i:
             cur = matvec(op, cur, meter)
+        if giants is not None and i < op.n and i % stride == 0:
+            giants.append(cur)
         acc = sum(map(mul, u, cur))
         if meter is not None:
             meter.mul += op.n
@@ -70,24 +90,30 @@ def minimal_generator_pair(op: LinearOp, u: list, v: list,
     """Generator and residue from 2n sequence terms (Berlekamp-Massey)."""
     from .polynomial import berlekamp_massey
 
-    seq = wiedemann_sequence(op, u, v, 2 * op.n, meter)
+    giants = []
+    seq = wiedemann_sequence(op, u, v, 2 * op.n, meter, giants)
     gen = berlekamp_massey(op.field, seq)
-    return GeneratorPair(gen, residue_polynomial(gen, seq))
+    return GeneratorPair(gen, residue_polynomial(gen, seq), tuple(giants))
 
 
 def solve_shifted(op: LinearOp, r1: int, v: list, gen: Poly,
-                  meter: CostMeter | None = None) -> list:
+                  meter: CostMeter | None = None, giants: tuple = ()) -> list:
     """Solve (r1*I - A) w = v given a monic annihilator of (A^i v).
 
-    Uses w = (1/gen(r1)) q(A) v with q = (gen - gen(r1)) / (x - r1), so it
-    needs deg(gen) - 1 applications of A plus one for the residual check.
+    Uses w = (1/gen(r1)) q(A) v with q = (gen - gen(r1)) / (x - r1), d =
+    deg(gen).  With ``giants`` = (A^(k*s) v for k*s < n), s = isqrt(n), as a
+    Krylov pass keeps them (``GeneratorPair.giants``), each
+    z_r = sum_k q_(k*s+r) A^(k*s) v costs no application of A, and
+    w = sum_(r < s) A^r z_r by Horner costs min(s, d) - 1.  Without them v
+    is the one giant step and the stride is d: plain Horner, d - 1
+    applications.  The residual check costs one more.
     Raises BadShiftError when gen(r1) = 0 (the system is then inconsistent
     whenever gen really is the minimal annihilator of v's Krylov stream)
     and IntegrityError when the residual check fails, which means the
-    supplied polynomial does not annihilate the stream.
+    supplied polynomial does not annihilate the stream.  Giant steps that
+    do not start at v, or do not reach degree d - 1, are a UsageError.
     """
-    field = op.field
-    p = field.p
+    p = op.field.p
     if len(v) != op.n:
         raise UsageError("vector dimension mismatch")
     if not gen.is_monic():
@@ -101,15 +127,25 @@ def solve_shifted(op: LinearOp, r1: int, v: list, gen: Poly,
         if any(v):
             raise IntegrityError("constant annihilator for a nonzero vector")
         return [0] * op.n
-    # Synthetic division coefficients of q, consumed high-to-low by Horner.
+    stride, steps = (isqrt(op.n), giants) if giants else (d, (v,))
+    if len(steps[0]) != op.n or any((a - b) % p for a, b in zip(steps[0], v)):
+        raise UsageError("giant steps do not start at v")
+    if len(steps) * stride < d:
+        raise UsageError("giant steps do not reach the annihilator's degree")
+    # Synthetic division coefficients q_0..q_(d-1) of q (q_(d-1) = 1).
     g = gen.coeffs
-    carry = g[d]  # leading quotient coefficient, = 1
-    w = [c % p for c in v]  # w = q_{d-1} * v with q_{d-1} = 1
-    for k in range(d - 2, -1, -1):
-        carry = (g[k + 1] + r1 * carry) % p
-        w = matvec(op, w, meter)
-        if carry:
-            w = [(a + carry * b) % p for a, b in zip(w, v)]
+    q = [0] * d
+    carry = 0
+    for k in range(d - 1, -1, -1):
+        carry = q[k] = (g[k + 1] + r1 * carry) % p
+    cols = list(zip(*steps))
+    m = min(stride, d)
+    w = [0] * op.n
+    for r in range(m - 1, -1, -1):
+        if r < m - 1:
+            w = matvec(op, w, meter)
+        cs = q[r::stride]
+        w = [(a + sum(map(mul, cs, col))) % p for a, col in zip(w, cols)]
     scale = pow(fr, -1, p)
     w = [a * scale % p for a in w]
     check = matvec(op, w, meter)
@@ -117,4 +153,3 @@ def solve_shifted(op: LinearOp, r1: int, v: list, gen: Poly,
         if (r1 * wi - ci) % p != vi % p:
             raise IntegrityError("shifted-system residual is nonzero")
     return w
-

@@ -105,13 +105,13 @@ class HonestProver:
         mean the candidate was a proper divisor; fresh projections are
         folded in, with a dense fallback after the retry budget.
         """
-        box, v = self._box, self._v
+        box, v, giants = self._box, self._v, self._true.giants
         cand = self._true.gen
         for _ in range(SOLVE_RETRIES):
             if cand.eval(r1) == 0:
                 return None
             try:
-                return solve_shifted(box, r1, v, cand, self.meter)
+                return solve_shifted(box, r1, v, cand, self.meter, giants)
             except IntegrityError:
                 u2 = self.field.sample_vector(self.rng, box.n, self.meter)
                 extra = minimal_generator_pair(box, u2, v, self.meter)
@@ -119,7 +119,7 @@ class HonestProver:
         cand = vector_minpoly(box, v)
         if cand.eval(r1) == 0:
             return None
-        return solve_shifted(box, r1, v, cand, self.meter)
+        return solve_shifted(box, r1, v, cand, self.meter, giants)
 
     # -- determinant protocol steps ---------------------------------------------
 
@@ -368,7 +368,7 @@ class SingularDenialProver(HonestProver):
         if cand.eval(r1) == 0:
             return None
         try:
-            return solve_shifted(box, r1, v, cand, self.meter)
+            return solve_shifted(box, r1, v, cand, self.meter, self._true.giants)
         except IntegrityError:
             return None
 

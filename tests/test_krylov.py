@@ -1,13 +1,16 @@
+from dataclasses import replace
+from math import isqrt
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certilin import (BadShiftError, CostMeter, IntegrityError, Poly,
-                      PrimeField, SparseMatrix, identity_matrix,
-                      minimal_generator_pair, oracle_det, oracle_kernel,
-                      oracle_minpoly, poly_gcd, residue_polynomial,
-                      solve_shifted, vector_minpoly, wiedemann_sequence)
+from certilin import (BadShiftError, CostMeter, HonestProver, IntegrityError,
+                      Poly, PrimeField, SparseMatrix, UsageError,
+                      identity_matrix, minimal_generator_pair, oracle_det,
+                      oracle_kernel, oracle_minpoly, poly_gcd, poly_lcm,
+                      residue_polynomial, solve_shifted, vector_minpoly,
+                      wiedemann_sequence)
 from certilin.blackbox import matvec
 from certilin.harness import gen_sparse
 from certilin.oracle import dense_solve
@@ -158,8 +161,95 @@ def test_solve_shifted_matvec_count(fbig):
     f = vector_minpoly(a, v)
     m = CostMeter()
     w = solve_shifted(a, 2, v, f, m)
-    assert m.matvec == f.degree  # deg - 1 for the build, one for the residual
+    assert m.matvec == f.degree  # plain Horner: deg - 1, one for the residual
     assert len(w) == 8
+
+
+def _annihilates(a, f, v):
+    """Whether f(A) v = 0, by Horner over plain matvecs."""
+    p = a.field.p
+    acc = [0] * a.n
+    for c in reversed(f.coeffs):
+        acc = [(x + c * y) % p for x, y in zip(matvec(a, acc), v)]
+    return not any(acc)
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except (BadShiftError, IntegrityError) as exc:
+        return type(exc)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_solve_shifted_giant_steps_match_one_giant(data):
+    # The solve from a Krylov pass's giant steps returns the vector, or
+    # raises the error, of plain Horner (v the one giant step, stride d):
+    # minimal generators of singular and nonsingular operators, their lcms,
+    # v's minimal polynomial, and monic polynomials with many zero
+    # coefficients, most of which annihilate nothing.
+    p = data.draw(st.sampled_from([7, 101]), "p")
+    n = data.draw(st.integers(1, 12), "n")
+    field = PrimeField(p)
+    cells = st.integers(0, p - 1)
+    vectors = st.lists(cells, min_size=n, max_size=n)
+    entries = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1),
+                                           st.integers(1, p - 1)),
+                                 max_size=3 * n), "entries")
+    a = SparseMatrix(field, n, entries)
+    u, v = data.draw(vectors, "u"), data.draw(vectors, "v")
+    pair = minimal_generator_pair(a, u, v)
+    assert len(pair.giants) == -(-n // isqrt(n))
+    kind = data.draw(st.sampled_from(["generator", "lcm", "minpoly", "monic"]))
+    if kind == "generator":
+        cand = pair.gen
+    elif kind == "lcm":
+        extra = minimal_generator_pair(a, data.draw(vectors, "u2"), v)
+        cand = poly_lcm(pair.gen, extra.gen)
+    elif kind == "minpoly":
+        cand = vector_minpoly(a, v)
+    else:
+        low = st.one_of(st.sampled_from([0, 1, p - 1]), cells)
+        cand = Poly(field, data.draw(st.lists(low, max_size=n), "low") + [1])
+    r1 = data.draw(cells, "r1")
+    plain, giant = CostMeter(), CostMeter()
+    expected = _outcome(lambda: solve_shifted(a, r1, v, cand, plain))
+    got = _outcome(lambda: solve_shifted(a, r1, v, cand, giant, pair.giants))
+    assert got == expected
+    if not _annihilates(a, cand, v):
+        assert expected in (BadShiftError, IntegrityError)
+    if isinstance(expected, list) and cand.degree:
+        assert plain.matvec == cand.degree
+        assert giant.matvec == min(isqrt(n), cand.degree)
+
+
+def test_solve_shifted_giant_steps_of_another_vector(f101):
+    # Giant steps that do not start at v, or stop short of the degree, are
+    # a caller's mistake: a UsageError, which the prover does not take for
+    # a proper divisor to retry with fresh projections.
+    n = 9
+    a = gen_sparse(f101, n, 0.4, Random(4))
+    v, other = [1] * n, [2] * n
+    f = vector_minpoly(a, v)
+    stray = minimal_generator_pair(a, v, other).giants
+    own = minimal_generator_pair(a, v, v).giants
+    r1 = next(r for r in range(101) if f.eval(r))
+    assert solve_shifted(a, r1, v, f, giants=own) == solve_shifted(a, r1, v, f)
+    assert f.degree > isqrt(n)
+    with pytest.raises(UsageError, match="do not reach"):
+        solve_shifted(a, r1, v, f, giants=own[:1])
+    with pytest.raises(UsageError, match="start at v"):
+        solve_shifted(a, r1, v, f, giants=stray)
+    prover = HonestProver(f101, Random(1))
+    prover.open_session(a, v, v)
+    prover._true = replace(prover._true, giants=stray)
+    r1 = next(r for r in range(101) if prover._true.gen.eval(r))
+    draws = prover.meter.random_draws
+    with pytest.raises(UsageError, match="start at v"):
+        prover.solution(r1)
+    assert prover.meter.random_draws == draws
 
 
 def test_kernel_vector(f7, f101):

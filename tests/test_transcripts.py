@@ -1,13 +1,15 @@
 import hashlib
+from dataclasses import replace
+from math import isqrt
 from random import Random
 
 import pytest
 
-from certilin import (Accept, Bezout, Commitment, HonestProver, ParseError,
-                      PointChallenge, Poly, Projection, Reject,
+from certilin import (Accept, Bezout, Commitment, CostMeter, HonestProver,
+                      ParseError, PointChallenge, Poly, Projection, Reject,
                       ScriptedChallenges, SingularityWitness, Solution,
-                      UsageError, certify_det_gamma, fiat_shamir,
-                      identity_matrix, parse_transcript,
+                      UsageError, budget_report, certify_det_gamma,
+                      fiat_shamir, identity_matrix, parse_transcript,
                       verify_noninteractive)
 from certilin.harness import (_corrupt_payload_byte, gen_nonsingular,
                               gen_singular, random_nonsingular_dense_checked,
@@ -88,19 +90,22 @@ def test_fs_roundtrip_all_protocols(fbig, matrix):
 
 @pytest.mark.parametrize("protocol, digest, field_ops", [
     ("det-gamma",
-     "4dd3ebcb1363c545ae820deb4f317f77a4667a10fa080ff560918241ff5bac7d", 710667),
+     "4dd3ebcb1363c545ae820deb4f317f77a4667a10fa080ff560918241ff5bac7d", 519813),
     ("minpoly",
-     "e3c6f8c7e5884da468314d271c72a7be274aeb014e883743a3b00bb77d61b068", 575518),
+     "e3c6f8c7e5884da468314d271c72a7be274aeb014e883743a3b00bb77d61b068", 426202),
 ])
 def test_fs_transcript_pinned_at_n150(fbig, protocol, digest, field_ops):
     # Long Euclid and Berlekamp-Massey runs: the sha256 of the transcript
     # and the prover's metered work are pinned at a size where every kernel
-    # loops hundreds of times.
-    a = gen_nonsingular(fbig, 150, Random(150), 5 / 150)
+    # loops hundreds of times.  The prover applies A 2n - 1 times for the
+    # Krylov sequence and isqrt(n) times for the shifted solve from its
+    # giant steps, residual check included.
+    n = 150
+    a = gen_nonsingular(fbig, n, Random(150), 5 / n)
     transcript, outcome = fiat_shamir(protocol, a, HonestProver(fbig, Random(1)))
     assert isinstance(outcome, Accept)
     assert hashlib.sha256(transcript.render().encode()).hexdigest() == digest
-    assert transcript.prover_meter.matvec == 449
+    assert transcript.prover_meter.matvec == 2 * n - 1 + isqrt(n)
     assert transcript.prover_meter.field_ops == field_ops
 
 
@@ -108,12 +113,15 @@ def test_interactive_dense_prover_sessions_pinned(fbig):
     # Interactive n=10 sessions whose prover works densely: det-simple
     # (B = A*Gamma and the charpolys of B and its leading minor) honest and
     # with a wrong generator, and charpoly.  The sha256 of every rendered
-    # transcript, outcome and both meters is pinned.
+    # transcript, outcome and verifier meter is pinned, and so is every
+    # prover meter: det-simple's solve has no Krylov pass and applies B
+    # n = 10 times, charpoly's runs from its giant steps (19 + isqrt(10)).
     a = random_nonsingular_dense_checked(fbig, 10, Random(10))
     kinds = [("det-simple", WrongGeneratorProver), ("det-simple", HonestProver),
              ("charpoly", HonestProver)]
     h = hashlib.sha256()
     tally = {}
+    prover_meters = []
     for i in range(20):
         protocol, cls = kinds[i % 3]
         transcript, outcome = run_protocol(protocol, a, cls(fbig, Random(i)),
@@ -121,11 +129,18 @@ def test_interactive_dense_prover_sessions_pinned(fbig):
         verdict = type(outcome).__name__
         tally[verdict] = tally.get(verdict, 0) + 1
         h.update(f"{protocol}/{cls.name}\n{transcript.render()}"
-                 f"{render_outcome(outcome)}\n{transcript.prover_meter}\n"
+                 f"{render_outcome(outcome)}\n"
                  f"{transcript.verifier_meter}\n".encode())
+        prover_meters.append(transcript.prover_meter)
     assert tally == {"Accept": 13, "Reject": 7}
     assert h.hexdigest() == (
-        "23d4c0a94c082a8b6effdbb1fd99e7fbafd2102a31699a800c3c7c2d87d79c73")
+        "013c0e68c2ec30c0fbac31d01216671e8fc5ea70a2adb38a1d387b7cd5b8e8ce")
+    simple = CostMeter(mul=470, add=460, matvec=10, random_draws=2,
+                       elements_sent=31)
+    charpoly = CostMeter(mul=1454, add=1412, matvec=22, random_draws=2,
+                         elements_sent=60)
+    assert prover_meters == [charpoly if i % 3 == 2 else simple
+                             for i in range(20)]
 
 
 KIND_PINS = {
@@ -319,7 +334,8 @@ def test_replay_verdicts_of_edited_transcripts_pinned(fbig):
     # a singular matrix, replayed as they are and after dropping,
     # duplicating, re-roling or swapping message lines, or stripping them
     # all.  The verdict and the verifier meter of each replay are pinned, so
-    # any change to the replay path shows up here.
+    # any change to the replay path shows up here.  Each replay's verifier
+    # ops stay within the protocol's budget wherever it states one.
     rng = Random(6)
     u = [fbig.sample(rng) for _ in range(6)]
     v = [fbig.sample(rng) for _ in range(6)]
@@ -327,13 +343,21 @@ def test_replay_verdicts_of_edited_transcripts_pinned(fbig):
                 gen_singular(fbig, 6, Random(9)))
     h = hashlib.sha256()
     tally = {}
+    bounded = 0
     for a in matrices:
         for protocol in PROTOCOL_IDS:
             kw = {"u": u, "v": v} if protocol.startswith("fauv") else {}
             transcript, _ = fiat_shamir(protocol, a,
                                         HonestProver(fbig, Random(1)), **kw)
             for label, text in _edits(transcript.render()):
-                out, meter = verify_noninteractive(parse_transcript(text), a)
+                parsed = parse_transcript(text)
+                out, meter = verify_noninteractive(parsed, a)
+                # A hostile transcript is rejected within the verifier budget.
+                bound = budget_report(replace(parsed, verifier_meter=meter),
+                                      a).ops_bound
+                if bound is not None:
+                    bounded += 1
+                    assert meter.field_ops <= bound, f"{protocol} {label}"
                 verdict = (out.reason if isinstance(out, Reject)
                            else type(out).__name__)
                 tally[verdict] = tally.get(verdict, 0) + 1
@@ -341,5 +365,6 @@ def test_replay_verdicts_of_edited_transcripts_pinned(fbig):
                          .encode())
     assert tally == {"Accept": 16, "challenge-mismatch": 6,
                      "malformed-transcript": 290}
+    assert bounded == 190
     assert h.hexdigest() == (
         "90e61c107752df84595bb90d15518ac408bbadfa26dfed48fe30978455fbe139")
