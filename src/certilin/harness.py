@@ -157,7 +157,7 @@ def rejection_bound(protocol: str, strategy: str, n: int, p: int):
 
 def _strategy_class(protocol: str, strategy: str):
     aliases = dict(protocol_spec(protocol).strategy_aliases)
-    return adversarial_prover(aliases.get(strategy, strategy))
+    return aliases.get(strategy) or adversarial_prover(strategy)
 
 
 @dataclass

@@ -89,11 +89,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -160,12 +155,6 @@ class Poly:
         p = self.field.p
         k %= p
         return Poly(self.field, [c * k % p for c in self.coeffs])
-
-    def shift(self, m: int) -> "Poly":
-        """Multiply by x**m."""
-        if not self.coeffs:
-            return self
-        return Poly(self.field, (0,) * m + self.coeffs, _canonical=True)
 
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder with deg r < deg b; b must be nonzero."""

@@ -45,7 +45,7 @@ from .messages import (Accept, BadChallenge, Bezout, Commitment,
                        Transcript, header_bytes, message_bytes, wire_cost)
 from .meter import CostMeter
 from .polynomial import Poly, poly_gcd
-from .provers import HonestProver
+from .provers import HonestProver, WrongClaimProver
 
 def field_size_bound(protocol_id: str, n: int) -> int:
     """Minimal field size required for the protocol's soundness analysis."""
@@ -194,12 +194,7 @@ def _fauv_core(run, box, prover, u, v, *, merged, require_deg=None,
     field, vm = run.field, run.vm
     p = field.p
     n = box.n
-
-    def produce_commit():
-        pair = prover.committed_pair()
-        return Commitment(pair.gen, pair.res)
-
-    com = run.prover_message("commit", produce_commit)
+    com = _commitment(run, prover)
     gen, res = com.gen, com.res
 
     # Syntactic gate: monicity and degree bounds come before any randomness.
@@ -242,6 +237,15 @@ def _fauv_core(run, box, prover, u, v, *, merged, require_deg=None,
     if uw * e_gen1 % p != e_res1:
         _reject("evaluation-check")
     return gen
+
+
+def _commitment(run, prover):
+    """The prover's committed pair, as the session holds it."""
+    def produce():
+        pair = prover.committed_pair()
+        return Commitment(pair.gen, pair.res)
+
+    return run.prover_message("commit", produce)
 
 
 def _checked_solution(run, box, r1, target, producer):
@@ -313,16 +317,16 @@ def _flow_fauv(run, a, prover, u, v, merged=False):
 
 def _flow_minpoly(run, a, prover, u, v, perfectly_complete=False):
     u, v = run.drawn_projection(a.n)
+    if run.live:
+        prover.open_session(a, u, v)
 
     def produce_secondary():
-        extra = prover.secondary_projection(a, u, v)
+        extra = prover.secondary_projection(a)
         return None if extra is None else SecondaryProjection(
             tuple(extra[0]), tuple(extra[1]))
 
     msg = (run.prover_maybe("projection2", produce_secondary)
            if perfectly_complete else None)
-    if run.live:
-        prover.open_session(a, u, v)
     first = _fauv_core(run, a, prover, u, v, merged=True)
     if msg is None:
         return first
@@ -386,12 +390,9 @@ def _flow_det_simple(run, a, prover, u, v):
     if singular is not None:
         return singular
     vm, n = run.vm, a.n
-    if run.live:
-        s, t, char_full, char_minor = prover.choose_simple(a)
-    else:
-        s = t = char_full = char_minor = None
-    gamma, denom = _gamma_announce(run, n, lambda: GammaAnnounce(s, t))
-    com = run.prover_message("commit", lambda: Commitment(char_full, char_minor))
+    gamma, denom = _gamma_announce(
+        run, n, lambda: GammaAnnounce(*prover.choose_simple(a)))
+    com = _commitment(run, prover)
     full, minor = com.gen, com.res
     if not full.is_monic() or full.degree != n:
         _reject("malformed-commitment")
@@ -456,9 +457,9 @@ class ProtocolSpec:
     ``generator_unsent`` leaves the committed generator out of the
     communication count, since it is the protocol's output.  ``result``
     names what an Accept certifies: "generator", "minpoly", "charpoly" or
-    "det".  ``strategy_aliases`` maps an attack strategy to the prover that
-    plays it against this protocol; ``cli`` offers the id on the command line
-    (the two variants are reached through library flags).
+    "det".  ``strategy_aliases`` maps an attack strategy to the prover class
+    that plays it against this protocol; ``cli`` offers the id on the
+    command line (the two variants are reached through library flags).
     """
 
     flow: Callable
@@ -539,7 +540,7 @@ _PROTOCOLS = {
         flow=_flow_charpoly, certify="certify_charpoly",
         field_bound=_gamma_bound, rejection=lambda n, p: 1 - 2 * n / p,
         rejection_label="claim-collision", result="charpoly",
-        strategy_aliases=(("wrong_generator", "wrong_claim"),)),
+        strategy_aliases=(("wrong_generator", WrongClaimProver),)),
 }
 
 PROTOCOL_IDS = tuple(_PROTOCOLS)

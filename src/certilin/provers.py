@@ -53,15 +53,15 @@ class HonestProver:
         self._v = None
         self._true = None
         self._commit = None
-        self._simple = None
 
     # -- strategy hooks ----------------------------------------------------
 
     def _corrupt_pair(self, pair: GeneratorPair, box: LinearOp) -> GeneratorPair:
         return pair
 
-    def _corrupt_simple(self, char_full: Poly, char_minor: Poly):
-        return char_full, char_minor
+    def _corrupt_simple(self, pair: GeneratorPair, box: LinearOp) -> GeneratorPair:
+        """The det-simple commitment; (chi_B, chi_minor) is a pair like any other."""
+        return self._corrupt_pair(pair, box)
 
     def _accept_preconditioner(self, usable: bool) -> bool:
         """Whether to keep a preconditioner draw; ``usable`` says it works."""
@@ -69,11 +69,12 @@ class HonestProver:
 
     # -- generator certificate steps ------------------------------------------
 
-    def _set_session(self, box: LinearOp, v: list, pair: GeneratorPair) -> GeneratorPair:
+    def _set_session(self, box: LinearOp, v: list, pair: GeneratorPair,
+                     corrupt=None) -> GeneratorPair:
         self._box = box
         self._v = list(v)
         self._true = pair
-        self._commit = self._corrupt_pair(pair, box)
+        self._commit = (corrupt or self._corrupt_pair)(pair, box)
         return self._commit
 
     def open_session(self, box: LinearOp, u: list, v: list) -> GeneratorPair:
@@ -171,7 +172,7 @@ class HonestProver:
     # -- simple determinant protocol ------------------------------------------
 
     def choose_simple(self, box: LinearOp):
-        """Preconditioner plus characteristic polynomials of B and its minor."""
+        """Gamma's (s, t); opens the session on B = A*Gamma, e_n, (chi_B, chi_minor)."""
         field, n = self.field, box.n
         dense = materialize(box)
         p = field.p
@@ -189,39 +190,32 @@ class HonestProver:
             if not self._accept_preconditioner(
                     poly_gcd(char_full, char_minor).degree == 0):
                 continue
-            commit_full, commit_minor = self._corrupt_simple(char_full, char_minor)
-            self._simple = {
-                "box": ProductOp(box, gamma),
-                "true_char": char_full,
-                "rows": rows,
-            }
-            return s, t, commit_full, commit_minor
+            self._set_session(ProductOp(box, gamma), [0] * (n - 1) + [1],
+                              GeneratorPair(char_full, char_minor),
+                              self._corrupt_simple)
+            return s, t
         raise ProtocolInternalError("no coprime characteristic pair found")
 
     def simple_solution(self, r1: int):
-        state = self._simple
-        field, n = self.field, state["box"].n
-        e_last = [0] * (n - 1) + [1]
+        """Solve (r1 I - B) w = e_n by chi_B, densely when r1 is a root of it."""
+        box, v, p = self._box, self._v, self.field.p
         try:
-            return solve_shifted(state["box"], r1, e_last, state["true_char"], self.meter)
+            return solve_shifted(box, r1, v, self._true.gen, self.meter)
         except (BadShiftError, IntegrityError):
-            p = field.p
-            rows = state["rows"]
-            shifted = [[(r1 * (i == j) - rows[i][j]) % p for j in range(n)]
-                       for i in range(n)]
-            return dense_solve(shifted, e_last, field)
+            shifted = [[(r1 * (i == j) - x) % p for j, x in enumerate(row)]
+                       for i, row in enumerate(materialize(box))]
+            return dense_solve(shifted, v, self.field)
 
     # -- minimal polynomial extras -----------------------------------------------
 
-    def secondary_projection(self, box: LinearOp, u: list, v: list):
+    def secondary_projection(self, box: LinearOp):
         """Projections exposing the full minimal polynomial, when needed.
 
-        Returns None when the given projections already reveal it.  Used by
-        the perfectly complete variant; requires the dense oracle.
+        Returns None when the open session's projections already reveal it.
+        Used by the perfectly complete variant; requires the dense oracle.
         """
         full = oracle_minpoly(box)
-        pair = minimal_generator_pair(box, u, v, self.meter)
-        if pair.gen == full:
+        if self._true.gen == full:
             return None
         for _ in range(SECONDARY_TRIES):
             u2 = self.field.sample_vector(self.rng, box.n, self.meter)
@@ -264,13 +258,6 @@ class WrongGeneratorProver(HonestProver):
         res = _coprime_perturb(field, pair.res, forged)
         return GeneratorPair(forged, res)
 
-    def _corrupt_simple(self, char_full, char_minor):
-        field = self.field
-        j = self.rng.randrange(char_full.degree)
-        forged = char_full + Poly(field, [0] * j + [1])
-        minor = _coprime_perturb(field, char_minor, forged)
-        return forged, minor
-
 
 class WrongResidueProver(HonestProver):
     name = "wrong_residue"
@@ -303,8 +290,7 @@ class WrongSolutionProver(HonestProver):
     def solution(self, r1):
         return self.field.sample_vector(self.rng, self._box.n, self.meter)
 
-    def simple_solution(self, r1):
-        return self.field.sample_vector(self.rng, self._simple["box"].n, self.meter)
+    simple_solution = solution
 
 
 class DegreePadProver(HonestProver):
@@ -346,11 +332,10 @@ class SingularDenialProver(HonestProver):
     def _corrupt_pair(self, pair, box):
         return self._forge_full(box)
 
-    def _corrupt_simple(self, char_full, char_minor):
-        n = char_full.degree
-        forged = self._random_full_degree(n)
-        minor = _coprime_perturb(self.field, char_minor, forged)
-        return forged, minor
+    def _corrupt_simple(self, pair, box):
+        # The true minor, perturbed, under a random full-degree chi.
+        forged = self._random_full_degree(box.n)
+        return GeneratorPair(forged, _coprime_perturb(self.field, pair.res, forged))
 
     def _accept_preconditioner(self, usable):
         # The first nonsingular preconditioner will do: the forged
@@ -374,7 +359,10 @@ class SingularDenialProver(HonestProver):
 
 
 class WrongClaimProver(HonestProver):
-    """Sends a perturbed characteristic polynomial claim, then plays honestly."""
+    """Sends a perturbed characteristic polynomial claim, then plays honestly.
+
+    charpoly's ``wrong_generator``; not a strategy of its own.
+    """
 
     name = "wrong_claim"
 
@@ -385,8 +373,7 @@ class WrongClaimProver(HonestProver):
 STRATEGIES = {
     cls.name: cls
     for cls in (WrongGeneratorProver, WrongResidueProver, ForgedBezoutProver,
-                WrongSolutionProver, DegreePadProver, SingularDenialProver,
-                WrongClaimProver)
+                WrongSolutionProver, DegreePadProver, SingularDenialProver)
 }
 
 

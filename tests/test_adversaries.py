@@ -3,8 +3,10 @@ from random import Random
 import pytest
 
 from certilin import UsageError, adversarial_prover
-from certilin.harness import (random_nonsingular_dense_checked, run_attack,
+from certilin.harness import (PROTOCOL_CHOICES,
+                              random_nonsingular_dense_checked, run_attack,
                               three_sigma)
+from certilin.provers import STRATEGIES
 
 from conftest import PRIME_BIG
 
@@ -14,6 +16,16 @@ N, P = 10, PRIME_BIG
 def test_unknown_strategy():
     with pytest.raises(UsageError):
         adversarial_prover("bite_the_wire")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("protocol", PROTOCOL_CHOICES)
+def test_every_cli_attack_passes(protocol, strategy):
+    # Every pair `certilin attack` accepts (its --strategy choices are
+    # STRATEGIES) must play a real deviation that the protocol catches,
+    # not an honest prover that it accepts.
+    report = run_attack(protocol, strategy, 20, 6, P, seed=16)
+    assert report.passed, (report.accepted, report.rejected, report.bad_challenge)
 
 
 def test_forged_pair_changes_the_fraction(fbig):

@@ -251,6 +251,15 @@ def test_invalid_arguments_are_usage_errors(argv):
     assert err.startswith("error: ")
 
 
+def test_wrong_claim_is_not_a_strategy():
+    # wrong_claim is charpoly's wrong_generator, not an attack of its own.
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["attack", "--protocol", "fauv", "--strategy", "wrong_claim"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'wrong_claim'" in err.getvalue()
+
+
 @pytest.mark.parametrize("command", ["prove-matrix", "verify-matrix",
                                      "verify-transcript", "gen-matrix",
                                      "prove-undecodable", "verify-undecodable"])

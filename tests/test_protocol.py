@@ -16,7 +16,7 @@ from certilin import (Accept, BadChallenge, FieldTooSmallError,
 from certilin.challenges import RandomChallenges
 from certilin.harness import (gen_singular, gen_sparse,
                               random_nonsingular_dense_checked, run_protocol)
-from certilin.oracle import materialize
+from certilin.oracle import dense_charpoly, materialize
 from certilin.protocol import PROTOCOL_IDS
 
 
@@ -225,15 +225,18 @@ class FirstDraws(Random):
 @example(n=5, seed=0, s=7, t=0)
 @settings(max_examples=60, deadline=None)
 def test_choose_simple_rows_are_a_times_gamma(n, seed, s, t):
-    # The prover builds B = A*Gamma row by row from Gamma's structure; it
-    # must equal the product of the two operators, for the (s, t) drawn
-    # first (t = 0 or s = 0 included) or a later draw when that one fails.
+    # The prover builds B = A*Gamma row by row from Gamma's structure; the
+    # pair it commits must be the charpolys of the product of the two
+    # operators and of its leading minor, for the (s, t) drawn first (t = 0
+    # or s = 0 included) or a later draw when that one fails.
     field = PrimeField(1_000_003)
     a = random_nonsingular_dense_checked(field, n, Random(seed))
     prover = HonestProver(field, FirstDraws(seed, [s, t]))
-    got_s, got_t, _, _ = prover.choose_simple(a)
-    gamma = GammaMatrix(field, n, t=got_t, s=got_s)
-    assert prover._simple["rows"] == materialize(ProductOp(a, gamma))
+    got_s, got_t = prover.choose_simple(a)
+    rows = materialize(ProductOp(a, GammaMatrix(field, n, t=got_t, s=got_s)))
+    minor = [r[:n - 1] for r in rows[:n - 1]]
+    assert prover.committed_pair() == GeneratorPair(
+        dense_charpoly(rows, field), dense_charpoly(minor, field))
 
 
 def test_det_gamma_randomness_economy(fbig):
