@@ -2,12 +2,23 @@ import hashlib
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from certilin import (CostMeter, DiagonalMatrix, GammaMatrix, ParseError,
-                      ProductOp, ShiftOp, SparseMatrix, UsageError, emit_sms,
+from certilin import (Accept, CostMeter, DiagonalMatrix, GammaMatrix,
+                      HonestProver, ParseError, PrimeField, ProductOp, ShiftOp,
+                      SparseMatrix, UsageError, emit_sms, fiat_shamir,
                       gamma_det, identity_matrix, matrix_digest, matvec,
-                      parse_sms)
-from certilin.harness import gen_sparse
+                      minimal_generator_pair, oracle_kernel, parse_sms,
+                      parse_transcript, verify_noninteractive)
+from certilin import blackbox
+from certilin.blackbox import _BLOCK_TERMS, _CODE, _COMPILE_AFTER
+from certilin.harness import gen_nonsingular, gen_singular, gen_sparse
+from certilin.protocol import PROTOCOL_IDS, protocol_spec
+
+from conftest import PRIME_BIG
+
+# The largest prime below 2**62, the field module's modulus bound.
+PRIME_62_BIT = 2 ** 62 - 57
 
 
 def dense_apply(rows, x, p):
@@ -182,3 +193,178 @@ def test_matrix_digest_is_cached(f101):
     assert digest == hashlib.sha256(emit_sms(a).encode()).hexdigest()
     assert a._cache["digest"] == digest
     assert matrix_digest(a) is digest
+
+
+# -- compiled matvec ----------------------------------------------------------
+
+
+def compiled(a: SparseMatrix) -> SparseMatrix:
+    """A copy of ``a`` applied past the compile threshold."""
+    b = SparseMatrix(a.field, a.n, a.entries)
+    for _ in range(_COMPILE_AFTER):
+        assert _CODE not in b._cache
+        b.apply([0] * b.n)
+    assert _CODE in b._cache
+    return b
+
+
+def assert_same_matvec(a: SparseMatrix, x: list):
+    """The compiled code and the per-entry loop agree, meter included."""
+    cold = SparseMatrix(a.field, a.n, a.entries)
+    hot = compiled(a)
+    m_cold, m_hot = CostMeter(), CostMeter()
+    y = matvec(cold, x, m_cold)
+    assert _CODE not in cold._cache
+    assert matvec(hot, x, m_hot) == y
+    assert vars(m_hot) == vars(m_cold)
+    assert y == dense_apply(a.to_dense(), x, a.field.p)
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    p = draw(st.sampled_from((7, 101, PRIME_62_BIT)))
+    n = draw(st.integers(min_value=1, max_value=40))
+    rows = draw(st.lists(st.integers(0, n - 1), max_size=n))    # others stay empty
+    index = st.integers(0, n - 1)
+    entries = draw(st.lists(
+        st.tuples(st.sampled_from(rows) if rows else index, index, st.integers(0, p - 1)),
+        max_size=4 * n))
+    xs = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                       min_size=1, max_size=3))
+    return SparseMatrix(PrimeField(p), n, entries), xs
+
+
+@given(matrices_and_vectors())
+@settings(max_examples=300, deadline=None)
+def test_compiled_matvec_equals_cold_loop(case):
+    a, xs = case
+    for x in xs:
+        assert_same_matvec(a, x)
+
+
+def test_compiled_matvec_edge_cases(fbig):
+    rng = Random(12)
+    p = fbig.p
+    no_entries = SparseMatrix(fbig, 5, [])
+    one_row = SparseMatrix(fbig, 3, [(1, 0, 4), (1, 2, 9)])
+    # Row lengths around the block size, one long row and empty rows between.
+    n = 3000
+    lengths = {0: _BLOCK_TERMS - 1, 1: _BLOCK_TERMS, 2: _BLOCK_TERMS + 1,
+               5: 2 * _BLOCK_TERMS, 6: 1, 9: 3000, 10: _BLOCK_TERMS // 2}
+    mixed = SparseMatrix(fbig, n, [(i, j, rng.randrange(1, p))
+                                   for i, k in lengths.items()
+                                   for j in rng.sample(range(n), k)])
+    assert mixed.nnz == sum(lengths.values())
+    for a in (no_entries, one_row, mixed):
+        assert_same_matvec(a, [rng.randrange(p) for _ in range(a.n)])
+
+
+def test_compiled_blocks_are_bounded_and_full(fbig):
+    """Each compiled function covers at most _BLOCK_TERMS terms, and a block
+    closes only when the next row would not fit."""
+    b = _BLOCK_TERMS
+
+    def block_rows(a):
+        return [len(f([0] * a.n)) for f in compiled(a)._cache[_CODE]]
+
+    diagonal = identity_matrix(fbig, 2 * b + 1)
+    assert block_rows(diagonal) == [b, b, 1]
+    assert block_rows(SparseMatrix(fbig, b + 1, [])) == [b, 1]   # empty rows count one
+    # Five rows of b/2 terms, then b/2 - 5 empty rows.
+    half = SparseMatrix(fbig, b // 2, [(i, j, 1) for i in range(5) for j in range(b // 2)])
+    assert block_rows(half) == [2, 2, b // 2 - 4]
+    # A long row is summed from parts of _BLOCK_TERMS terms; with every
+    # value 1, a part's unreduced sum at x = (1, ..., 1) is its term count.
+    long_row = SparseMatrix(fbig, 3000, [(1, j, 1) for j in range(3000)]
+                            + [(0, 0, 1), (2, 0, 1)])
+    code = compiled(long_row)._cache[_CODE]
+    assert [len(f([0] * 3000)) for f in code[:2]] == [1, 1]   # row 0, then row 1
+    parts = code[1].__defaults__[0]
+    assert [f([1] * 3000) for f in parts] == [b] * (3000 // b) + [3000 % b]
+    full_row = SparseMatrix(fbig, b, [(0, j, 1) for j in range(b)])
+    assert compiled(full_row)._cache[_CODE][0].__defaults__ is None   # a plain block
+    just_long = SparseMatrix(fbig, b + 1, [(0, j, 1) for j in range(b + 1)])
+    parts = compiled(just_long)._cache[_CODE][0].__defaults__[0]
+    assert [f([1] * (b + 1)) for f in parts] == [b, 1]
+
+
+def test_krylov_pass_across_the_compile_threshold(fbig, monkeypatch):
+    """A Krylov pass that compiles its matrix part-way gives the same
+    sequence, giant steps and meter as one on the cold loop throughout."""
+    n = 40
+    a = gen_sparse(fbig, n, 0.2, Random(8))
+    rng = Random(9)
+    u = [rng.randrange(fbig.p) for _ in range(n)]
+    v = [rng.randrange(fbig.p) for _ in range(n)]
+    warm = SparseMatrix(fbig, n, a.entries)
+    for _ in range(_COMPILE_AFTER - 10):
+        warm.apply(v)
+    m_warm = CostMeter()
+    crossing = minimal_generator_pair(warm, u, v, m_warm)
+    assert _CODE in warm._cache
+    monkeypatch.setattr(blackbox, "_COMPILE_AFTER", 10 ** 9)
+    cold = SparseMatrix(fbig, n, a.entries)
+    m_cold = CostMeter()
+    reference = minimal_generator_pair(cold, u, v, m_cold)
+    assert _CODE not in cold._cache
+    assert crossing == reference
+    assert len(crossing.giants) > 2          # giant steps on both sides of the crossing
+    assert crossing.giants == reference.giants
+    assert vars(m_warm) == vars(m_cold)
+
+
+def test_verifier_leaves_parsed_matrix_uncompiled(fbig):
+    """``certilin verify`` parses the matrix and applies it once or twice:
+    it must not pay for compiling."""
+    a = gen_nonsingular(fbig, 12, Random(5))
+    rng = Random(6)
+    for pid in PROTOCOL_IDS:
+        kw = {}
+        if protocol_spec(pid).projections:
+            kw = {"u": [rng.randrange(fbig.p) for _ in range(a.n)],
+                  "v": [rng.randrange(fbig.p) for _ in range(a.n)]}
+        transcript, outcome = fiat_shamir(pid, a, HonestProver(fbig, Random(1)), **kw)
+        parsed = parse_sms(emit_sms(a))
+        replayed, _ = verify_noninteractive(parse_transcript(transcript.render()), parsed)
+        assert isinstance(replayed, Accept) and replayed == outcome, pid
+        assert _CODE not in parsed._cache, pid
+    assert _CODE in a._cache        # the prover's matrix was compiled
+
+
+def test_compiled_code_shares_cache_with_oracle(fbig):
+    a = gen_singular(fbig, 9, Random(3))
+    x = [Random(4).randrange(fbig.p) for _ in range(a.n)]
+    expected = a.apply(x)
+    kernel = oracle_kernel(a)
+    assert any(kernel) and a.apply(kernel) == [0] * a.n
+    for _ in range(_COMPILE_AFTER):
+        a.apply(x)
+    assert _CODE in a._cache and "kernel" in a._cache
+    assert oracle_kernel(a) == kernel
+    assert a.apply(kernel) == [0] * a.n
+    assert a.apply(x) == expected
+
+
+class CodeText(int):
+    """An int whose text is not its value."""
+
+    def __format__(self, spec):
+        return "0"
+
+    __str__ = __repr__ = lambda self: "0"
+
+
+def test_entries_are_exact_ints(fbig):
+    field = PrimeField(CodeText(PRIME_BIG))
+    a = SparseMatrix(field, 3, [(CodeText(i), CodeText(j), CodeText(i + 2 * j + 1))
+                                for i in range(3) for j in range(3)])
+    assert all(type(c) is int for entry in a.entries for c in entry)
+    x = [5, 6, 7]
+    assert compiled(a).apply(x) == dense_apply(a.to_dense(), x, PRIME_BIG) != [0, 0, 0]
+    assert SparseMatrix(fbig, 2, [(True, 0, 3)]).entries == ((1, 0, 3),)
+
+
+def test_non_integer_entries_rejected(f7):
+    for bad in ((0, 0, 1.5), (0.5, 0, 1), (0, 1.0, 1)):
+        with pytest.raises(UsageError):
+            SparseMatrix(f7, 2, [bad])
