@@ -87,7 +87,7 @@ def _compile(a: SparseMatrix) -> tuple:
     A row longer than _BLOCK_TERMS is summed from partial functions of
     _BLOCK_TERMS terms each and gets a function of its own.
     """
-    p = operator.index(a.field.p)
+    p = a.field.p
     rows = [[] for _ in range(a.n)]
     for i, j, v in a.entries:
         rows[i].append(f"{v}*x[{j}]")

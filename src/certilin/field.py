@@ -15,6 +15,7 @@ machine-assisted big ints and elements serialize into 8 bytes.
 
 from __future__ import annotations
 
+import operator
 from random import Random
 
 from .errors import ConfigError, DomainError, UsageError
@@ -59,6 +60,9 @@ class PrimeField:
     def __init__(self, p: int):
         if not isinstance(p, int):
             raise ConfigError(f"modulus must be an int, got {type(p).__name__}")
+        # An exact int: the text of an int subclass would otherwise reach
+        # SMS headers and transcript digests.
+        p = operator.index(p)
         if p < 3 or p >= MAX_MODULUS:
             raise ConfigError(f"modulus must satisfy 3 <= p < 2**62, got {p}")
         if not is_prime(p):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, IntegrityError, UsageError
 from .field import PrimeField, same_field
 from .meter import CostMeter
 
@@ -245,6 +245,153 @@ def _sub_mul(c: list, q: list, s: list, p: int) -> list:
     return _strip([x % p for x in out])
 
 
+def _step(r0: list, r1: list, s0: list, s1: list, t0: list, t1: list,
+          p: int) -> tuple:
+    """One Euclid step on a row (r0, r1, s0, s1, t0, t1); r1 is nonzero.
+
+    A row holds two consecutive remainders r_i = s_i*a + t_i*b and their
+    cofactors, as canonical coefficient lists, low to high.
+    """
+    if len(r0) == len(r1) + 1:
+        # A degree-1 quotient q1*x + q0, the usual case: one pass each
+        # computes r0 - q*r1, s0 - q*s1 and t0 - q*t1.  The cofactor
+        # degrees grow with each step, so s0 and t0 fit in len(s1) + 1
+        # and len(t1) + 1 coefficients.
+        inv = pow(r1[-1], -1, p)
+        x_r1 = [0] + r1
+        q1 = r0[-1] * inv % p
+        q0 = (r0[-2] - q1 * x_r1[-2]) * inv % p
+        r = [(c - q1 * d - q0 * e) % p for c, d, e in zip(r0, x_r1, r1)]
+        r.pop()
+        n = len(s1) + 1
+        s = [(c - q1 * d - q0 * e) % p
+             for c, d, e in zip(s0 + [0] * (n - len(s0)), [0] + s1, s1 + [0])]
+        n = len(t1) + 1
+        t = [(c - q1 * d - q0 * e) % p
+             for c, d, e in zip(t0 + [0] * (n - len(t0)), [0] + t1, t1 + [0])]
+        return r1, _strip(r), s1, _strip(s), t1, _strip(t)
+    q, r = _divrem(r0, r1, p)
+    return r1, r, s1, _sub_mul(s0, q, s1, p), t1, _sub_mul(t0, q, t1, p)
+
+
+# -- half-gcd ----------------------------------------------------------------
+#
+# Euclid's rows on (a, b) depend on the top coefficients only for as long as
+# the remainders stay above half the degree, so a row far down the sequence
+# can be reached from two recursive calls on truncated pairs and a few
+# polynomial matrix products (Knuth-Schoenhage; Thull & Yap 1990).  The
+# products run as Kronecker substitutions: each coefficient list is packed
+# into one Python int, so that CPython's Karatsuba multiplies whole
+# polynomials, and each result is unpacked once with ``% p``.  Every row
+# the half-gcd reaches is the classical loop's row, so results are the same
+# bit for bit.
+
+# Pairs with a first operand of at most this many coefficients run the
+# classical loop; above it the half-gcd recursion splits the work.
+_HGCD_MIN = 64
+
+
+def _slot_bytes(p: int, n: int) -> int:
+    """Bytes per Kronecker slot holding a coefficient of f1*g1 + f2*g2 + h.
+
+    For lists of at most n coefficients below p each such coefficient is at
+    most 2n(p-1)^2 + p - 1.
+    """
+    return ((2 * n * (p - 1) ** 2 + p - 1).bit_length() + 7) // 8
+
+
+def _pack(c: list, w: int) -> int:
+    return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in c]), "little")
+
+
+def _unpack(x: int, w: int, n: int, p: int) -> list:
+    """The first n slots of x, reduced mod p and stripped."""
+    b = x.to_bytes(n * w, "little")
+    return _strip([int.from_bytes(b[i:i + w], "little") % p
+                   for i in range(0, n * w, w)])
+
+
+def _mat_mul(m: tuple, cols: list, p: int, top: tuple = ((), ()), k: int = 0) -> list:
+    """The 2x2 matrix m = (m00, m01, m10, m11) times each column (u, v).
+
+    Returns m00*u + m01*v and m10*u + m11*v for each column in turn, with
+    top[0]*x^k and top[1]*x^k added to the first column's two entries.
+    Each operand is packed once and each entry unpacked once.
+    """
+    n = max(map(len, (*m, *top, *(c for col in cols for c in col))))
+    w = _slot_bytes(p, n)
+    pm = [_pack(c, w) for c in m]
+    out = []
+    for j, (u, v) in enumerate(cols):
+        pu, pv = _pack(u, w), _pack(v, w)
+        for i in (0, 2):
+            acc = pm[i] * pu + pm[i + 1] * pv
+            size = max(len(m[i]) + len(u), len(m[i + 1]) + len(v)) - 1
+            h = top[i // 2] if j == 0 else ()
+            if h:
+                acc += _pack(h, w) << (8 * w * k)
+                size = max(size, len(h) + k)
+            out.append(_unpack(acc, w, max(size, 0), p))
+    return out
+
+
+def _hgcd(a: list, b: list, p: int) -> tuple:
+    """Euclid's row on (a, b), len(a) > len(b), whose second remainder is
+    the first of degree below ceil(deg(a) / 2)."""
+    m = len(a) // 2
+    row = (a, b, [1], [], [], [1])
+    if len(a) <= _HGCD_MIN:
+        while len(row[1]) > m:
+            row = _step(*row, p)
+        return row
+    if len(b) > m:
+        # The top halves' rows are (a, b)'s rows down to degree about 3/4
+        # deg(a); one step and the truncated second half go on to m.
+        row = _jump(row, m, p)
+        if len(row[1]) > m:
+            row = _step(*row, p)
+            if len(row[1]) > m:
+                row = _jump(row, 2 * m + 1 - len(row[0]), p)
+    return row
+
+
+def _jump(row: tuple, k: int, p: int) -> tuple:
+    """The row that _hgcd reaches on the pair truncated by x^k, applied to
+    ``row``: its second remainder is the first of degree below
+    (deg(r0) + k) / 2 rounded up."""
+    r0, r1, s0, s1, t0, t1 = row
+    x, y, h00, h10, h01, h11 = _hgcd(r0[k:], r1[k:], p)
+    h = (h00, h01, h10, h11)
+    if k:
+        row = tuple(_mat_mul(h, [(r0[:k], r1[:k]), (s0, s1), (t0, t1)], p, (x, y), k))
+    else:
+        row = (x, y, *_mat_mul(h, [(s0, s1), (t0, t1)], p))
+    target = (len(r0) + k) // 2
+    if not len(row[0]) > target >= len(row[1]):
+        raise IntegrityError("half-gcd jump missed its target degree")
+    return row
+
+
+def _euclid(a: list, b: list, p: int, more, floor: int = 0) -> tuple:
+    """Euclid's rows on canonical lists a and b for as long as more(r1, t1).
+
+    Returns the first row (r0, r1, s0, s1, t0, t1) whose r1 and t1 fail
+    ``more``.  Rows with a second remainder of degree at least ``floor``
+    may be passed by half-gcd jumps, so ``more`` must hold on them all.
+    """
+    row = (a, b, [1], [], [], [1])
+    while len(row[0]) > _HGCD_MIN and more(row[1], row[5]):
+        n0, n1 = len(row[0]), len(row[1])
+        target = max(n0 // 2, floor)
+        if n0 > n1 > target:
+            row = _jump(row, 2 * target + 1 - n0, p)
+        else:
+            row = _step(*row, p)
+    while more(row[1], row[5]):
+        row = _step(*row, p)
+    return row
+
+
 def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid: returns (g, s, t) with g = s*a + t*b and g monic.
 
@@ -255,36 +402,7 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     if a.is_zero() and b.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
     p = f.p
-    # Remainders and cofactors are canonical coefficient lists, low to high.
-    r0, r1 = list(a.coeffs), list(b.coeffs)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        if len(r0) == len(r1) + 1:
-            # A degree-1 quotient q1*x + q0, the usual case: one pass each
-            # computes r0 - q*r1, s0 - q*s1 and t0 - q*t1.  The cofactor
-            # degrees grow with each step, so s0 and t0 fit in len(s1) + 1
-            # and len(t1) + 1 coefficients.
-            inv = pow(r1[-1], -1, p)
-            x_r1 = [0] + r1
-            q1 = r0[-1] * inv % p
-            q0 = (r0[-2] - q1 * x_r1[-2]) * inv % p
-            r = [(c - q1 * d - q0 * e) % p for c, d, e in zip(r0, x_r1, r1)]
-            r.pop()
-            n = len(s1) + 1
-            s = [(c - q1 * d - q0 * e) % p
-                 for c, d, e in zip(s0 + [0] * (n - len(s0)), [0] + s1, s1 + [0])]
-            n = len(t1) + 1
-            t = [(c - q1 * d - q0 * e) % p
-                 for c, d, e in zip(t0 + [0] * (n - len(t0)), [0] + t1, t1 + [0])]
-            r0, r1 = r1, _strip(r)
-            s0, s1 = s1, _strip(s)
-            t0, t1 = t1, _strip(t)
-        else:
-            q, r = _divrem(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _sub_mul(s0, q, s1, p)
-            t0, t1 = t1, _sub_mul(t0, q, t1, p)
+    r0, _, s0, _, t0, _ = _euclid(list(a.coeffs), list(b.coeffs), p, lambda r, t: r)
     lead = r0[-1]
     if lead != 1:
         k = pow(lead, -1, p)
@@ -303,14 +421,25 @@ def berlekamp_massey(field: PrimeField, seq) -> Poly:
     Returns the lowest-degree monic f with sum_i f_i * seq[k+i] = 0 for
     every window 0 <= k <= len(seq) - 1 - deg(f), as far as the sequence
     determines one.  The zero sequence yields the constant 1.
+
+    A sequence of at least 2 * _HGCD_MIN terms runs as Euclid on
+    (x^N, sum_i seq[i] x^(N-1-i)) (Dornstetter 1987) through the half-gcd:
+    the cofactor t of the first row with deg r < deg t, made monic, is the
+    generator.  When 2 * deg <= N the minimal generator is unique and both
+    paths return it; otherwise each returns one of the same degree.
     """
     seq = list(seq)
     if not seq:
         raise UsageError("berlekamp_massey needs at least one term")
     p = field.p
+    N = len(seq)
+    if N >= 2 * _HGCD_MIN:
+        t = _euclid([0] * N + [1], _strip([x % p for x in reversed(seq)]), p,
+                    lambda r, t: len(r) >= len(t), (N + 1) // 2)[5]
+        k = pow(t[-1], -1, p)
+        return Poly(field, tuple([c * k % p for c in t]), _canonical=True)
     # seq[n-1], seq[n-2], ..., seq[n-L] is rev[N-n : N-n+L].
     rev = seq[::-1]
-    N = len(seq)
     c = [1]          # connection polynomial, c[0] = 1
     b = [1]          # copy at last length change
     L = 0

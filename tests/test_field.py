@@ -5,6 +5,7 @@ import pytest
 
 from certilin import (ConfigError, CostMeter, DomainError, ParseError,
                       PrimeField, UsageError)
+from certilin.blackbox import SparseMatrix, emit_sms, matrix_digest
 from certilin.field import dot, same_field, scale_sub
 from certilin.messages import SCALAR
 
@@ -21,6 +22,26 @@ def test_construction_validates_modulus():
         PrimeField("7")
     assert PrimeField(3).p == 3
     assert PrimeField(PRIME_40_BIT).p == PRIME_40_BIT
+
+
+class TextNotValue(int):
+    """An int whose text is not its value."""
+
+    def __format__(self, spec):
+        return "0"
+
+    __str__ = __repr__ = lambda self: "0"
+
+
+def test_modulus_is_an_exact_int():
+    # The modulus's text reaches SMS headers and transcript digests.
+    field = PrimeField(TextNotValue(PRIME_BIG))
+    assert type(field.p) is int and field.p == PRIME_BIG
+    assert repr(field) == f"PrimeField({PRIME_BIG})"
+    entries = [(0, 1, 5), (1, 0, 7)]
+    a = SparseMatrix(field, 2, entries)
+    assert emit_sms(a).splitlines()[0] == f"2 2 {PRIME_BIG}"
+    assert matrix_digest(a) == matrix_digest(SparseMatrix(PrimeField(PRIME_BIG), 2, entries))
 
 
 def test_inverse(f7, f101):

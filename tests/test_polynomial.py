@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from certilin import (CostMeter, DomainError, Poly, PrimeField, UsageError,
                       berlekamp_massey, poly_gcd, poly_lcm, xgcd)
 from certilin.messages import POLY
-from certilin.polynomial import NEG_INF
+from certilin.polynomial import _HGCD_MIN, NEG_INF, _mat_mul, _slot_bytes
 
 from conftest import PRIME_BIG
 
@@ -297,7 +297,7 @@ quotient7 = st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size
 
 
 @st.composite
-def euclid_pairs(draw):
+def short_pairs(draw):
     f = PrimeField(7)
     if draw(st.booleans()):
         a, b = Poly(f, draw(coeffs7)), Poly(f, draw(coeffs7))
@@ -312,6 +312,64 @@ def euclid_pairs(draw):
     return a, b
 
 
+# Long pairs run through the half-gcd: degrees 64 to 400 over a small, a
+# 30-bit and the largest 62-bit prime; random, built from remainder
+# sequences with quotients of degree 1 to 3, with a common factor of degree
+# up to 100 (Euclid then ends at a zero remainder above the threshold), or
+# with a zero or constant second operand; and in either order, so deg a <
+# deg b too.
+LONG_PRIMES = (7, 10**9 + 7, 2**62 - 57)
+
+
+def random_poly(field, rng, degree):
+    if degree < 0:
+        return Poly.zero(field)
+    return Poly(field, [rng.randrange(field.p) for _ in range(degree)]
+                + [rng.randrange(1, field.p)])
+
+
+@st.composite
+def long_pairs(draw):
+    f = PrimeField(draw(st.sampled_from(LONG_PRIMES)))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    degree = draw(st.integers(_HGCD_MIN, 400))
+    shape = draw(st.sampled_from(["random", "remainders", "common factor",
+                                  "zero", "constant"]))
+    if shape == "remainders":
+        b, a = Poly.zero(f), random_poly(f, rng, rng.randrange(4))
+        while a.degree < degree:
+            a, b = random_poly(f, rng, rng.randrange(1, 4)) * a + b, a
+    elif shape == "common factor":
+        common = random_poly(f, rng, rng.randrange(1, min(101, degree)))
+        a = random_poly(f, rng, degree - common.degree) * common
+        b = random_poly(f, rng, rng.randrange(degree - common.degree)) * common
+    else:
+        a = random_poly(f, rng, degree)
+        b = random_poly(f, rng, {"random": rng.randrange(degree + 1),
+                                 "zero": -1, "constant": 0}[shape])
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b
+
+
+def euclid_pairs():
+    return st.one_of(short_pairs(), long_pairs())
+
+
+def reference_xgcd(a, b):
+    """Classical extended Euclid on Poly objects; g made monic."""
+    f = a.field
+    r0, r1 = a, b
+    s0, s1, t0, t1 = Poly.one(f), Poly.zero(f), Poly.zero(f), Poly.one(f)
+    while r1:
+        q, r = r0.divrem(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    k = pow(r0.coeffs[-1], -1, f.p)
+    return r0.scale(k), s0.scale(k), t0.scale(k)
+
+
 @given(euclid_pairs())
 @settings(max_examples=400, deadline=None)
 def test_xgcd_bezout_and_tight_bounds(pair):
@@ -320,6 +378,7 @@ def test_xgcd_bezout_and_tight_bounds(pair):
     if a.is_zero() and b.is_zero():
         return
     g, s, t = xgcd(a, b)
+    assert (g, s, t) == reference_xgcd(a, b)
     assert g.is_monic()
     assert s * a + t * b == g
     assert a % g == Poly.zero(f) and b % g == Poly.zero(f)
@@ -384,3 +443,151 @@ def test_bm_matches_bruteforce_gf7(seq):
     if 2 * got.degree <= len(seq):
         # Then the minimal generator is unique.
         assert got == oracle
+
+
+# -- half-gcd path ------------------------------------------------------------------
+
+
+def reference_bm(field, seq):
+    """The Berlekamp-Massey loop that short sequences run."""
+    p = field.p
+    rev = seq[::-1]
+    N = len(seq)
+    c, b, L, m, bb_inv = [1], [1], 0, 1, 1
+    for n, a_n in enumerate(seq):
+        d = (a_n + sum(x * y for x, y in zip(c[1:L + 1], rev[N - n:N - n + L]))) % p
+        if d == 0:
+            m += 1
+            continue
+        coef = d * bb_inv % p
+        t = c[:] if 2 * L <= n else None
+        end = m + len(b)
+        c.extend([0] * (end - len(c)))
+        c[m:end] = [(x - coef * y) % p for x, y in zip(c[m:end], b)]
+        if t is not None:
+            L, b, bb_inv, m = n + 1 - L, t, pow(d, -1, p), 1
+        else:
+            m += 1
+    c = c + [0] * (L + 1 - len(c))
+    return Poly(field, [c[L - i] for i in range(L + 1)])
+
+
+@st.composite
+def long_sequences(draw):
+    # From one term below the half-gcd path's start: zero sequences, an
+    # impulse, recurrences of low degree, of degree about N/2 (a Krylov
+    # sequence of 2n terms) and random sequences, whose generators have
+    # 2 * deg > N about half the time.
+    f = PrimeField(draw(st.sampled_from(LONG_PRIMES)))
+    p = f.p
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    N = draw(st.integers(2 * _HGCD_MIN - 1, 400))
+    shape = draw(st.sampled_from(["zero", "impulse", "low", "half", "random"]))
+    if shape == "zero":
+        return f, [0] * N
+    if shape == "impulse":
+        seq = [0] * N
+        seq[rng.randrange(N)] = rng.randrange(1, p)
+        return f, seq
+    if shape == "random":
+        return f, [rng.randrange(p) for _ in range(N)]
+    d = rng.randrange(1, 9) if shape == "low" else N // 2 + rng.randrange(-2, 3)
+    gen = [rng.randrange(p) for _ in range(d)]
+    seq = [rng.randrange(p) for _ in range(d)]
+    while len(seq) < N:
+        seq.append(-sum(c * x for c, x in zip(gen, seq[-d:])) % p)
+    return f, seq[:N]
+
+
+@given(long_sequences())
+@settings(max_examples=150, deadline=None)
+def test_bm_long_sequences_match_reference(case):
+    f, seq = case
+    got = berlekamp_massey(f, seq)
+    ref = reference_bm(f, seq)
+    assert got.is_monic()
+    if 2 * ref.degree <= len(seq):
+        assert got == ref
+    else:
+        assert got.degree == ref.degree
+        assert satisfies_recurrence(f, got, seq)
+
+
+def test_long_inputs_take_the_half_gcd(monkeypatch):
+    import certilin.polynomial as polynomial
+    calls = []
+    hgcd = polynomial._hgcd
+
+    def counted(a, b, p):
+        calls.append(len(a))
+        return hgcd(a, b, p)
+
+    monkeypatch.setattr(polynomial, "_hgcd", counted)
+    f = PrimeField(PRIME_BIG)
+    rng = Random(3)
+    a, b = random_poly(f, rng, 200), random_poly(f, rng, 199)
+    assert xgcd(a, b) == reference_xgcd(a, b)
+    assert max(calls) > 2 * _HGCD_MIN
+    calls.clear()
+    seq = [rng.randrange(f.p) for _ in range(2 * _HGCD_MIN)]
+    berlekamp_massey(f, seq)
+    assert calls
+    calls.clear()
+    xgcd(random_poly(f, rng, _HGCD_MIN - 1), random_poly(f, rng, 10))
+    berlekamp_massey(f, seq[1:])
+    assert not calls
+
+
+def schoolbook(f, g, p):
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def add_lists(*lists, p):
+    out = [0] * max(map(len, lists))
+    for c in lists:
+        for i, x in enumerate(c):
+            out[i] += x
+    out = [x % p for x in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def test_kronecker_matrix_product_matches_schoolbook():
+    p = 2**62 - 57
+    # Coefficients of f1*g1 + f2*g2 + h from lists of n entries p - 1 reach
+    # 2n(p-1)^2 + p - 1: 128 bits for n = 8, 129 for n = 9.  The slot holds
+    # them in whole bytes, with no byte to spare.
+    assert (_slot_bytes(p, 8), _slot_bytes(p, 9)) == (16, 17)
+    for n in range(1, 3000):
+        need = 2 * n * (p - 1) ** 2 + p - 1
+        assert 256 ** (_slot_bytes(p, n) - 1) <= need < 256 ** _slot_bytes(p, n)
+    rng = Random(11)
+    for n in (1, 2, 8, 9, 65):
+        for full in (True, False):
+            def draw(length):
+                return [p - 1 if full else rng.randrange(p) for _ in range(length)]
+            m = tuple(draw(rng.randrange(n // 2, n + 1)) for _ in range(4))
+            cols = [(draw(n), draw(n)), (draw(rng.randrange(n + 1)), [])]
+            k = rng.randrange(n + 1)
+            top = (draw(n), draw(n))
+            got = _mat_mul(m, cols, p, top, k)
+            want = []
+            for j, (u, v) in enumerate(cols):
+                for i in (0, 2):
+                    shifted = [0] * k + top[i // 2] if j == 0 else []
+                    want.append(add_lists(schoolbook(m[i], u, p),
+                                          schoolbook(m[i + 1], v, p), shifted, p=p))
+            assert got == want
+    # Longest lists of an n = 800 proof (x^1600 in Berlekamp-Massey), all
+    # entries p - 1: coefficient i of each product is (p-1)^2 times the
+    # number of index pairs summing to i.
+    n = 1601
+    ones = [p - 1] * n
+    got = _mat_mul((ones,) * 4, [(ones, ones)], p)
+    want = [2 * (min(i, 2 * n - 2 - i) + 1) * (p - 1) ** 2 % p for i in range(2 * n - 1)]
+    assert got == [want, want]
