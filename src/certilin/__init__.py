@@ -9,8 +9,8 @@ the Fiat-Shamir transform, producing replayable transcripts.
 
 from .blackbox import (DiagonalMatrix, GammaMatrix, LinearOp, ProductOp,
                        ShiftOp, SparseMatrix, emit_sms, gamma_det,
-                       identity_matrix, matrix_digest, matvec, parse_sms)
-from .challenges import FiatShamirChallenges, RandomChallenges, ScriptedChallenges
+                       matrix_digest, matvec, parse_sms)
+from .challenges import FiatShamirChallenges, RandomChallenges
 from .errors import (BadShiftError, CertilinError, ConfigError, DomainError,
                      FieldTooSmallError, IntegrityError, OracleCapError,
                      ParseError, ProtocolInternalError, UsageError)

@@ -183,10 +183,6 @@ class SparseMatrix(LinearOp):
         return hash((self.field.p, self.n, self.entries))
 
 
-def identity_matrix(field: PrimeField, n: int) -> SparseMatrix:
-    return SparseMatrix(field, n, [(i, i, 1) for i in range(n)])
-
-
 class DiagonalMatrix(LinearOp):
     __slots__ = ("field", "n", "diag")
 
@@ -369,9 +365,9 @@ def parse_sms(text: str) -> SparseMatrix:
         entries.append((i - 1, j - 1, v))
     if not terminated:
         raise ParseError(lineno, "missing '0 0 0' terminator")
-    _, toks = next_line()
+    lineno, toks = next_line()
     if toks is not None:
-        raise ParseError(lineno + 1, "content after terminator")
+        raise ParseError(lineno, "content after terminator")
     return SparseMatrix(field, n1, entries)
 
 

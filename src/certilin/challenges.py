@@ -12,6 +12,7 @@ Consecutive draws with no message in between consume successive chunks.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from random import Random
 
 from .field import PrimeField
@@ -29,42 +30,12 @@ class RandomChallenges:
         return field.sample(self.rng)
 
 
-class ScriptedChallenges:
-    """Fixed initial draws, then a fallback source; used by tests."""
-
-    def __init__(self, script, fallback):
-        self.script = list(script)
-        self.fallback = fallback
-        self.needs_material = getattr(fallback, "needs_material", True)
-
-    def draw(self, field: PrimeField, material: bytes) -> int:
-        if self.script:
-            return field.check(self.script.pop(0))
-        return self.fallback.draw(field, material)
-
-
-class _HashStream:
+def _chunks(seed: bytes):
     """64-bit chunk stream: SHA-256(seed || counter) blocks."""
-
-    __slots__ = ("seed", "block", "chunks", "pos")
-
-    def __init__(self, seed: bytes):
-        self.seed = seed
-        self.block = 0
-        self.chunks = ()
-        self.pos = 0
-
-    def next_chunk(self) -> int:
-        if self.pos >= len(self.chunks):
-            digest = hashlib.sha256(
-                self.seed + self.block.to_bytes(8, "little")).digest()
-            self.chunks = tuple(
-                int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8))
-            self.pos = 0
-            self.block += 1
-        out = self.chunks[self.pos]
-        self.pos += 1
-        return out
+    for block in itertools.count():
+        digest = hashlib.sha256(seed + block.to_bytes(8, "little")).digest()
+        for i in range(0, 32, 8):
+            yield int.from_bytes(digest[i:i + 8], "little")
 
 
 class FiatShamirChallenges:
@@ -80,10 +51,10 @@ class FiatShamirChallenges:
         tag = hashlib.sha256(material).digest()
         if tag != self._material_digest:
             self._material_digest = tag
-            self._stream = _HashStream(tag)
+            self._stream = _chunks(tag)
         p = field.p
         limit = ((1 << 64) // p) * p
         while True:
-            chunk = self._stream.next_chunk()
+            chunk = next(self._stream)
             if chunk < limit:
                 return chunk % p

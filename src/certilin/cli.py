@@ -82,6 +82,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _emit_outcome(rep, outcome):
+    rep.emit("outcome", type(outcome).__name__)
+    if isinstance(outcome, Accept):
+        rep.emit("result", result_text(outcome.result))
+    elif isinstance(outcome, Reject):
+        rep.emit("reason", outcome.reason)
+    else:
+        rep.emit("detail", outcome.detail)
+
+
 def cmd_prove(args) -> int:
     a = _load_matrix(args.matrix)
     field = a.field
@@ -100,13 +110,7 @@ def cmd_prove(args) -> int:
     rep.emit("protocol", transcript.protocol_id)
     rep.emit("n", transcript.n)
     rep.emit("p", transcript.p)
-    rep.emit("outcome", type(outcome).__name__)
-    if isinstance(outcome, Accept):
-        rep.emit("result", result_text(outcome.result))
-    elif isinstance(outcome, Reject):
-        rep.emit("reason", outcome.reason)
-    else:
-        rep.emit("detail", outcome.detail)
+    _emit_outcome(rep, outcome)
     vm, pm = transcript.verifier_meter, transcript.prover_meter
     rep.emit("verifier_field_ops", vm.field_ops)
     rep.emit("verifier_matvec", vm.matvec)
@@ -131,11 +135,7 @@ def cmd_verify(args) -> int:
     transcript.verifier_meter = vm
     rep = _Report(args.format)
     rep.emit("protocol", transcript.protocol_id)
-    rep.emit("outcome", type(outcome).__name__)
-    if isinstance(outcome, Accept):
-        rep.emit("result", result_text(outcome.result))
-    elif isinstance(outcome, Reject):
-        rep.emit("reason", outcome.reason)
+    _emit_outcome(rep, outcome)
     rep.emit("verifier_field_ops", vm.field_ops)
     rep.emit("verifier_matvec", vm.matvec)
     budget = budget_report(transcript, a)
@@ -178,16 +178,16 @@ def cmd_bench(args) -> int:
     _check_density(args.density)
     rep = _Report(args.format)
     ok = True
-    for row in run_bench(args.protocol, sizes, args.modulus, args.seed,
-                         args.density):
+    for nnz, row in run_bench(args.protocol, sizes, args.modulus, args.seed,
+                              args.density):
         ok = ok and row.ok
         rep.row([
-            ("protocol", row.protocol), ("n", row.n), ("nnz", row.nnz),
+            ("protocol", row.protocol_id), ("n", row.n), ("nnz", nnz),
             ("verifier_ops", row.verifier_ops),
             ("ops_budget", row.ops_bound if row.ops_bound is not None else "-"),
             ("elements_sent", row.sent),
             ("sent_budget", row.sent_bound if row.sent_bound is not None else "-"),
-            ("random_elements", row.random_elements),
+            ("random_elements", row.random_draws + row.prover_draws),
             ("ok", row.ok),
         ])
     return 0 if ok else 1

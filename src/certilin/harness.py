@@ -16,7 +16,7 @@ from random import Random
 
 from .blackbox import SparseMatrix
 from .challenges import RandomChallenges
-from .errors import FieldTooSmallError, UsageError
+from .errors import UsageError
 from .field import PrimeField
 from .krylov import wiedemann_sequence
 from .messages import Accept, BadChallenge, Reject, SingularResult
@@ -99,9 +99,14 @@ def random_nonsingular_dense_checked(field: PrimeField, n: int, rng: Random,
 
 def run_protocol(protocol: str, a: SparseMatrix, prover, challenge_rng,
                  u=None, v=None, perfectly_complete=False):
-    """One interactive session with seeded verifier challenges."""
+    """One interactive session with seeded verifier challenges.
+
+    ``perfectly_complete`` is another spelling of the id "minpoly-pc".
+    """
+    if perfectly_complete and protocol == "minpoly":
+        protocol = "minpoly-pc"
     return _dispatch(protocol, a, prover, None, RandomChallenges(challenge_rng),
-                     u, v, perfectly_complete)
+                     u, v)
 
 
 def sample_projections(protocol: str, field: PrimeField, n: int, rng: Random) -> dict:
@@ -119,7 +124,7 @@ def _trial_matrix(field: PrimeField, n: int, setup: Random) -> SparseMatrix:
             if n <= oracle_cap() else gen_nonsingular(field, n, setup))
 
 
-def _play_trials(report, cls, a, setup, seed, perfectly_complete=False):
+def _play_trials(report, cls, a, setup, seed):
     """Tally report.trials sessions of ``cls`` provers against a.
 
     The projections come from ``setup``; trial i seeds its prover and its
@@ -131,8 +136,7 @@ def _play_trials(report, cls, a, setup, seed, perfectly_complete=False):
     for i in range(report.trials):
         prover = cls(field, subseed(seed, "prover", i))
         _, outcome = run_protocol(report.protocol, a, prover,
-                                  subseed(seed, "challenge", i), u=u, v=v,
-                                  perfectly_complete=perfectly_complete)
+                                  subseed(seed, "challenge", i), u=u, v=v)
         if isinstance(outcome, Accept):
             report.accepted += 1
         elif isinstance(outcome, Reject):
@@ -161,7 +165,10 @@ def _strategy_class(protocol: str, strategy: str):
 
 
 @dataclass
-class AttackReport:
+class TrialReport:
+    """Tally of seeded sessions of one prover strategy ("honest" for
+    completeness runs) against one protocol, with the analytic bound."""
+
     protocol: str
     strategy: str
     n: int
@@ -173,6 +180,10 @@ class AttackReport:
     bound: float | None = None
     allowance: float = 0.0
     label: str = ""
+
+    @property
+    def accept_rate(self) -> float:
+        return self.accepted / self.trials
 
     @property
     def rejection_rate(self) -> float:
@@ -188,7 +199,7 @@ class AttackReport:
 
 
 def run_attack(protocol: str, strategy: str, trials: int, n: int, p: int,
-               seed: int) -> AttackReport:
+               seed: int) -> TrialReport:
     """Seeded adversarial sessions; reports empirical rejection vs bound."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -197,9 +208,9 @@ def run_attack(protocol: str, strategy: str, trials: int, n: int, p: int,
     a = (gen_singular(field, n, setup) if strategy == "singular_denial"
          else _trial_matrix(field, n, setup))
     bound, label = rejection_bound(protocol, strategy, n, p)
-    report = AttackReport(protocol, strategy, n, p, trials, bound=bound,
-                          label=label,
-                          allowance=three_sigma(bound, trials) if bound else 0.0)
+    report = TrialReport(protocol, strategy, n, p, trials, bound=bound,
+                         label=label,
+                         allowance=three_sigma(bound, trials) if bound else 0.0)
     return _play_trials(report, _strategy_class(protocol, strategy), a, setup,
                         seed)
 
@@ -207,50 +218,21 @@ def run_attack(protocol: str, strategy: str, trials: int, n: int, p: int,
 # -- completeness -----------------------------------------------------------------
 
 
-@dataclass
-class CompletenessReport:
-    protocol: str
-    n: int
-    p: int
-    trials: int
-    accepted: int = 0
-    rejected: int = 0
-    bad_challenge: int = 0
-
-    @property
-    def accept_rate(self) -> float:
-        return self.accepted / self.trials
-
-
 def run_completeness(protocol: str, trials: int, n: int, p: int, seed: int,
-                     perfectly_complete: bool = False,
-                     matrix: SparseMatrix | None = None) -> CompletenessReport:
+                     matrix: SparseMatrix | None = None) -> TrialReport:
     field = PrimeField(p)
     setup = subseed(seed, "setup")
     a = matrix if matrix is not None else _trial_matrix(field, n, setup)
-    return _play_trials(CompletenessReport(protocol, n, p, trials),
-                        HonestProver, a, setup, seed, perfectly_complete)
+    return _play_trials(TrialReport(protocol, "honest", n, p, trials),
+                        HonestProver, a, setup, seed)
 
 
 # -- budget bench ------------------------------------------------------------------
 
 
-@dataclass
-class BenchRow:
-    protocol: str
-    n: int
-    nnz: int
-    verifier_ops: int
-    ops_bound: int | None
-    sent: int
-    sent_bound: int | None
-    random_elements: int
-    ok: bool
-
-
 def run_bench(protocol: str, sizes, p: int, seed: int,
               density: float | None = None) -> list:
-    """One honest Fiat-Shamir session per size; meters against budgets."""
+    """One honest Fiat-Shamir session per size: (nnz, BudgetReport) each."""
     if any(n < 1 for n in sizes):
         raise UsageError(f"bench sizes must be >= 1, got {list(sizes)}")
     field = PrimeField(p)
@@ -264,13 +246,7 @@ def run_bench(protocol: str, sizes, p: int, seed: int,
         transcript, outcome = fiat_shamir(protocol, a, prover, **kw)
         if not isinstance(outcome, Accept):
             raise RuntimeError(f"bench session did not accept: {outcome}")
-        rep = budget_report(transcript, a)
-        rows.append(BenchRow(
-            protocol=protocol, n=n, nnz=a.nnz,
-            verifier_ops=rep.verifier_ops, ops_bound=rep.ops_bound,
-            sent=rep.sent, sent_bound=rep.sent_bound,
-            random_elements=rep.random_draws + rep.prover_draws,
-            ok=rep.ok))
+        rows.append((a.nnz, budget_report(transcript, a)))
     return rows
 
 
@@ -336,20 +312,17 @@ def run_selftest(max_n: int, seeds: int, p: int, seed: int = 0) -> SelftestRepor
         a = random_nonsingular_dense_checked(field, n, rng)
         for protocol in PROTOCOL_CHOICES:
             label = f"{protocol} n={n} seed={k}"
-            try:
-                bound = field_size_bound(protocol, n)
-                if p < bound:
-                    report.skip(label, f"field too small, requires p >= {bound}")
-                    continue
-                prover = HonestProver(field, subseed(seed, "prover", k, protocol))
-                kw = sample_projections(protocol, field, n, rng)
-                # minpoly runs its perfectly complete variant, so it must
-                # certify the full minimal polynomial.
-                transcript, outcome = fiat_shamir(protocol, a, prover,
-                                                  perfectly_complete=True, **kw)
-            except FieldTooSmallError as exc:
-                report.skip(label, str(exc))
+            bound = field_size_bound(protocol, n)
+            if p < bound:
+                report.skip(label, f"field too small, requires p >= {bound}")
                 continue
+            prover = HonestProver(field, subseed(seed, "prover", k, protocol))
+            kw = sample_projections(protocol, field, n, rng)
+            # minpoly runs its perfectly complete variant, so it must
+            # certify the full minimal polynomial.
+            transcript, outcome = fiat_shamir(
+                "minpoly-pc" if protocol == "minpoly" else protocol, a, prover,
+                **kw)
             if isinstance(outcome, BadChallenge):
                 report.note(f"NOTE {label}: bad challenge, uncertified")
                 continue

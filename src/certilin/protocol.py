@@ -95,7 +95,7 @@ class _Run:
         self.recorded = recorded
         self.live = recorded is None
         self.messages = []
-        self._need_material = getattr(challenges, "needs_material", True)
+        self._need_material = challenges.needs_material
         self._material = (bytearray(header_bytes(protocol_id, n, field.p, digest))
                           if self._need_material else None)
 
@@ -459,7 +459,7 @@ class ProtocolSpec:
     names what an Accept certifies: "generator", "minpoly", "charpoly" or
     "det".  ``strategy_aliases`` maps an attack strategy to the prover class
     that plays it against this protocol; ``cli`` offers the id on the
-    command line (the two variants are reached through library flags).
+    command line (the two variants are reached by their ids).
     """
 
     flow: Callable
@@ -630,34 +630,28 @@ def certify_charpoly(a, prover=None, rng=None, *, challenges=None):
     return _execute("charpoly", a, *_resolve(a, prover, rng, challenges))
 
 
-def _dispatch(protocol_id, a, prover, rng, challenges, u=None, v=None,
-              perfectly_complete=False):
+def _dispatch(protocol_id, a, prover, rng, challenges, u=None, v=None):
     """Run the named protocol through its public ``certify_*`` entry point.
 
     The entry point is looked up by its module-level name at call time, so
     a wrapper installed on this module (a tracer, a profiler) sees every
-    session.  ``perfectly_complete`` selects the perfectly complete variant
-    where the entry point has one.
+    session.
     """
     spec = protocol_spec(protocol_id)
     options = dict(spec.options, challenges=challenges)
-    if perfectly_complete and "perfectly_complete" in options:
-        options["perfectly_complete"] = True
     certify = globals()[spec.certify]
     if spec.projections:
         return certify(a, u, v, prover, rng, **options)
     return certify(a, prover, rng, **options)
 
 
-def fiat_shamir(protocol_id, a, prover=None, rng=None, *, u=None, v=None,
-                perfectly_complete=False):
+def fiat_shamir(protocol_id, a, prover=None, rng=None, *, u=None, v=None):
     """Run the named protocol non-interactively; returns (Transcript, Outcome).
 
     The prover's own randomness still comes from ``rng``; every verifier
     challenge is derived by hashing the canonical session bytes.
     """
-    return _dispatch(protocol_id, a, prover, rng, FiatShamirChallenges(),
-                     u, v, perfectly_complete)
+    return _dispatch(protocol_id, a, prover, rng, FiatShamirChallenges(), u, v)
 
 
 def verify_noninteractive(transcript: Transcript, a: SparseMatrix):

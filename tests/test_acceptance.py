@@ -165,8 +165,7 @@ def test_criterion_4_completeness():
     assert rep.accept_rate >= floor
     assert rep.accepted + rep.bad_challenge == trials
 
-    pc = run_completeness("minpoly", trials, n, P_BIG, seed=5,
-                          perfectly_complete=True, matrix=a)
+    pc = run_completeness("minpoly-pc", trials, n, P_BIG, seed=5, matrix=a)
     assert pc.rejected == 0, "perfectly complete variant rejected an honest run"
     assert pc.accept_rate >= floor
 

@@ -7,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 from certilin import (Accept, CostMeter, DiagonalMatrix, GammaMatrix,
                       HonestProver, ParseError, PrimeField, ProductOp, ShiftOp,
                       SparseMatrix, UsageError, emit_sms, fiat_shamir,
-                      gamma_det, identity_matrix, matrix_digest, matvec,
-                      minimal_generator_pair, oracle_kernel, parse_sms,
-                      parse_transcript, verify_noninteractive)
+                      gamma_det, matrix_digest, matvec, minimal_generator_pair,
+                      oracle_kernel, parse_sms, parse_transcript,
+                      verify_noninteractive)
 from certilin import blackbox
 from certilin.blackbox import _BLOCK_TERMS, _CODE, _COMPILE_AFTER
 from certilin.harness import gen_nonsingular, gen_singular, gen_sparse
 from certilin.protocol import PROTOCOL_IDS, protocol_spec
 
 from conftest import PRIME_BIG
+from helpers import identity_matrix
 
 # The largest prime below 2**62, the field module's modulus bound.
 PRIME_62_BIT = 2 ** 62 - 57
@@ -176,8 +177,13 @@ def test_parse_errors_carry_line_numbers():
         parse_sms("2 2 7\n1 1 1")  # missing terminator
     with pytest.raises(ParseError):
         parse_sms("2 2 6\n0 0 0")  # composite modulus
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as e:
         parse_sms("2 2 7\n0 0 0\n1 1 1")  # content after terminator
+    assert e.value.line == 3
+    # Blank lines after the terminator: the error names the content's line.
+    with pytest.raises(ParseError) as e:
+        parse_sms("2 2 7\n1 1 3\n0 0 0\n\n\n5 5 5\n")
+    assert e.value.line == 6
 
 
 def test_matrix_digest_distinguishes(f101):

@@ -1,10 +1,13 @@
 import contextlib
 import io
+from random import Random
 
 import pytest
 
-from certilin import parse_sms
+from certilin import (BadChallenge, HonestProver, PrimeField, emit_sms,
+                      fiat_shamir, matrix_digest, parse_sms)
 from certilin.cli import main
+from certilin.harness import gen_nonsingular
 
 
 def run_cli(*argv):
@@ -290,3 +293,34 @@ def test_unusable_paths_are_errors(tmp_path, matrix_file, command):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_verify_prints_bad_challenge_detail(tmp_path):
+    # An honest fauv session whose two challenges hit a root: the verifier's
+    # own randomness, not the prover, left it unproven.
+    field = PrimeField(101)
+    a = gen_nonsingular(field, 4, Random(87), 0.5)
+    transcript, outcome = fiat_shamir("fauv", a, HonestProver(field, Random(87)),
+                                      u=[1, 2, 3, 4], v=[4, 3, 2, 1])
+    assert outcome == BadChallenge("unlucky-challenge")
+    matrix, cert = tmp_path / "a.sms", tmp_path / "a.cert"
+    matrix.write_text(emit_sms(a))
+    cert.write_text(transcript.render())
+    code, out, _ = run_cli("verify", "--transcript", str(cert),
+                           "--matrix", str(matrix))
+    assert code == 2
+    assert "outcome: BadChallenge\ndetail: unlucky-challenge\n" in out
+
+
+def test_verify_field_too_small_is_64(tmp_path):
+    # The header matches the matrix, but det-gamma at n = 12 needs p >= 132.
+    path = identity_file(tmp_path, 12, 101)
+    digest = matrix_digest(parse_sms(path.read_text()))
+    cert = tmp_path / "t.txt"
+    cert.write_text(f"certilin/1 det-gamma n=12 p=101 matrix={digest}\n"
+                    "outcome Reject malformed-transcript\n")
+    code, out, err = run_cli("verify", "--transcript", str(cert),
+                             "--matrix", str(path))
+    assert code == 64
+    assert out == ""
+    assert "requires p >= 132" in err

@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from certilin import (BadShiftError, CostMeter, HonestProver, IntegrityError,
                       Poly, PrimeField, SparseMatrix, UsageError,
-                      identity_matrix, minimal_generator_pair, oracle_det,
-                      oracle_kernel, oracle_minpoly, poly_gcd, poly_lcm,
-                      residue_polynomial, solve_shifted, vector_minpoly,
-                      wiedemann_sequence)
+                      minimal_generator_pair, oracle_det, oracle_kernel,
+                      oracle_minpoly, poly_gcd, poly_lcm, residue_polynomial,
+                      solve_shifted, vector_minpoly, wiedemann_sequence)
 from certilin.blackbox import matvec
 from certilin.harness import gen_sparse
 from certilin.oracle import dense_solve
 
 from conftest import PRIME_BIG
+from helpers import identity_matrix
 
 
 def P(field, *coeffs):

@@ -6,18 +6,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from certilin import (Accept, BadChallenge, FieldTooSmallError,
                       GammaMatrix, GeneratorPair, HonestProver, Poly,
-                      PrimeField, ProductOp, Reject, ScriptedChallenges,
-                      SingularResult, SparseMatrix, UsageError,
-                      budget_report, certify_charpoly, certify_det_diag,
-                      certify_det_gamma, certify_det_simple,
-                      certify_generator, certify_minpoly, field_size_bound,
-                      identity_matrix, oracle_charpoly, oracle_det,
+                      PrimeField, ProductOp, Reject, SingularResult,
+                      SparseMatrix, UsageError, budget_report,
+                      certify_charpoly, certify_det_diag, certify_det_gamma,
+                      certify_det_simple, certify_generator, certify_minpoly,
+                      field_size_bound, oracle_charpoly, oracle_det,
                       oracle_minpoly)
 from certilin.challenges import RandomChallenges
 from certilin.harness import (gen_singular, gen_sparse,
                               random_nonsingular_dense_checked, run_protocol)
 from certilin.oracle import dense_charpoly, materialize
 from certilin.protocol import PROTOCOL_IDS
+
+from helpers import ScriptedChallenges, identity_matrix
 
 
 def P(field, *coeffs):

@@ -7,9 +7,8 @@ import pytest
 
 from certilin import (Accept, Bezout, Commitment, CostMeter, HonestProver,
                       ParseError, PointChallenge, Poly, Projection, Reject,
-                      ScriptedChallenges, SingularityWitness, Solution,
-                      UsageError, budget_report, certify_det_gamma,
-                      fiat_shamir, identity_matrix, parse_transcript,
+                      SingularityWitness, Solution, UsageError, budget_report,
+                      certify_det_gamma, fiat_shamir, parse_transcript,
                       verify_noninteractive)
 from certilin.harness import (_corrupt_payload_byte, gen_nonsingular,
                               gen_singular, random_nonsingular_dense_checked,
@@ -19,6 +18,8 @@ from certilin.messages import (DiagonalAnnounce, GammaAnnounce,
                                render_message, render_outcome, wire_cost)
 from certilin.protocol import PROTOCOL_IDS
 from certilin.provers import SingularDenialProver, WrongGeneratorProver
+
+from helpers import ScriptedChallenges, identity_matrix
 
 
 @pytest.fixture()
