@@ -98,11 +98,7 @@ def cmd_prove(args) -> int:
     rng = Random(args.seed)
     prover = HonestProver(field, rng)
     kwargs = sample_projections(args.protocol, field, a.n, rng)
-    try:
-        transcript, outcome = fiat_shamir(args.protocol, a, prover, **kwargs)
-    except FieldTooSmallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIELD_TOO_SMALL
+    transcript, outcome = fiat_shamir(args.protocol, a, prover, **kwargs)
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as fh:
             fh.write(transcript.render())
@@ -127,11 +123,7 @@ def cmd_verify(args) -> int:
             or transcript.matrix_digest != matrix_digest(a)):
         print("error: transcript does not match matrix", file=sys.stderr)
         return EXIT_MATRIX_MISMATCH
-    try:
-        outcome, vm = verify_noninteractive(transcript, a)
-    except FieldTooSmallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIELD_TOO_SMALL
+    outcome, vm = verify_noninteractive(transcript, a)
     transcript.verifier_meter = vm
     rep = _Report(args.format)
     rep.emit("protocol", transcript.protocol_id)
@@ -267,6 +259,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    except FieldTooSmallError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FIELD_TOO_SMALL
     except (OSError, CertilinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from random import Random
 
 from .blackbox import (DiagonalMatrix, GammaMatrix, ProductOp, ShiftOp,
@@ -303,19 +302,19 @@ def _extract_det(run, gen, denominator) -> int:
 # -- protocol flows ----------------------------------------------------------
 
 
-# Every flow has the signature flow(run, a, prover, u, v): u and v are the
-# caller's projections, which only the fauv flows read.  On replay the
-# prover and the projections are None.
+# Every flow has the signature flow(run, a, prover, u, v, **spec.options):
+# u and v are the caller's projections, which only the fauv flows read.  On
+# replay the prover and the projections are None.
 
 
-def _flow_fauv(run, a, prover, u, v, merged=False):
+def _flow_fauv(run, a, prover, u, v, merged):
     u, v = run.public_projection(u, v)
     if run.live:
         prover.open_session(a, u, v)
     return _fauv_core(run, a, prover, u, v, merged=merged)
 
 
-def _flow_minpoly(run, a, prover, u, v, perfectly_complete=False):
+def _flow_minpoly(run, a, prover, u, v, perfectly_complete):
     u, v = run.drawn_projection(a.n)
     if run.live:
         prover.open_session(a, u, v)
@@ -452,7 +451,8 @@ class ProtocolSpec:
     """Everything the library knows about one protocol id.
 
     ``flow`` is the verifier logic, ``certify`` the name of the public entry
-    point that runs it live, with ``options`` as its fixed keyword arguments.
+    point that runs it live; ``options`` are the fixed keyword arguments of
+    both.
     Budgets take (mu, n, log_term) and n; None means no bound is enforced.
     ``generator_unsent`` leaves the committed generator out of the
     communication count, since it is the protocol's output.  ``result``
@@ -503,7 +503,7 @@ _PROTOCOLS = {
         ops_budget=lambda mu, n, log: mu + 17 * n, sent_budget=lambda n: 4 * n,
         generator_unsent=True),
     "fauv-merged": ProtocolSpec(
-        flow=partial(_flow_fauv, merged=True), certify="certify_generator",
+        flow=_flow_fauv, certify="certify_generator",
         options=(("merged", True),), field_bound=_generator_bound,
         rejection=_merged_point, rejection_label="merged-point",
         result="generator", ops_budget=lambda mu, n, log: mu + 13 * n,
@@ -515,8 +515,8 @@ _PROTOCOLS = {
         result="minpoly", ops_budget=lambda mu, n, log: mu + 13 * n),
     # Runs up to two generator certificates, so it has no linear budget.
     "minpoly-pc": ProtocolSpec(
-        flow=partial(_flow_minpoly, perfectly_complete=True),
-        certify="certify_minpoly", options=(("perfectly_complete", True),),
+        flow=_flow_minpoly, certify="certify_minpoly",
+        options=(("perfectly_complete", True),),
         field_bound=_generator_bound, rejection=_merged_point,
         rejection_label="merged-point", result="minpoly", cli=False),
     "det-diag": ProtocolSpec(
@@ -570,8 +570,9 @@ def _resolve(a, prover, rng, challenges):
 
 def _play(protocol_id, run, a, prover=None, u=None, v=None):
     """Run the protocol's flow and turn its signals into an outcome."""
+    spec = _PROTOCOLS[protocol_id]
     try:
-        return Accept(_PROTOCOLS[protocol_id].flow(run, a, prover, u, v))
+        return Accept(spec.flow(run, a, prover, u, v, **dict(spec.options)))
     except _RejectSignal as sig:
         return Reject(sig.reason)
     except _BadChallengeSignal as sig:

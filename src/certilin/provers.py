@@ -25,18 +25,16 @@ from __future__ import annotations
 from random import Random
 
 from .blackbox import DiagonalMatrix, GammaMatrix, LinearOp, ProductOp, gamma_det
-from .errors import (BadShiftError, IntegrityError, OracleCapError,
-                     ProtocolInternalError, UsageError)
+from .errors import (BadShiftError, IntegrityError, ProtocolInternalError,
+                     UsageError)
 from .field import PrimeField
 from .krylov import GeneratorPair, minimal_generator_pair, solve_shifted
 from .meter import CostMeter
-from .oracle import (dense_charpoly, dense_solve, materialize, oracle_cap,
-                     oracle_charpoly, oracle_kernel, oracle_minpoly,
-                     vector_minpoly)
+from .oracle import (dense_charpoly, materialize, oracle_cap, oracle_charpoly,
+                     oracle_kernel, oracle_minpoly)
 from .polynomial import Poly, poly_gcd, poly_lcm, xgcd
 
 PRECONDITIONER_TRIES = 16
-SOLVE_RETRIES = 8
 SECONDARY_TRIES = 64
 
 
@@ -104,23 +102,19 @@ class HonestProver:
         right vector; each divides the true Krylov annihilator, so a root
         at the challenge is a genuine inconsistency.  Residual failures
         mean the candidate was a proper divisor; fresh projections are
-        folded in, with a dense fallback after the retry budget.
+        folded in until it is not (Las Vegas: each one reveals v's
+        minimal annihilator with probability at least 1 - deg/p).
         """
         box, v, giants = self._box, self._v, self._true.giants
         cand = self._true.gen
-        for _ in range(SOLVE_RETRIES):
-            if cand.eval(r1) == 0:
-                return None
+        while cand.eval(r1) != 0:
             try:
                 return solve_shifted(box, r1, v, cand, self.meter, giants)
             except IntegrityError:
                 u2 = self.field.sample_vector(self.rng, box.n, self.meter)
                 extra = minimal_generator_pair(box, u2, v, self.meter)
                 cand = poly_lcm(cand, extra.gen)
-        cand = vector_minpoly(box, v)
-        if cand.eval(r1) == 0:
-            return None
-        return solve_shifted(box, r1, v, cand, self.meter, giants)
+        return None
 
     # -- determinant protocol steps ---------------------------------------------
 
@@ -197,14 +191,17 @@ class HonestProver:
         raise ProtocolInternalError("no coprime characteristic pair found")
 
     def simple_solution(self, r1: int):
-        """Solve (r1 I - B) w = e_n by chi_B, densely when r1 is a root of it."""
-        box, v, p = self._box, self._v, self.field.p
+        """Solve (r1 I - B) w = e_n by chi_B; None when r1 is a root of it.
+
+        chi_B annihilates every vector (Cayley-Hamilton), so the residual
+        check cannot fail; the verifier draws r1 off the committed chi_B,
+        so only a false commitment meets a root of the true one.
+        """
         try:
-            return solve_shifted(box, r1, v, self._true.gen, self.meter)
-        except (BadShiftError, IntegrityError):
-            shifted = [[(r1 * (i == j) - x) % p for j, x in enumerate(row)]
-                       for i, row in enumerate(materialize(box))]
-            return dense_solve(shifted, v, self.field)
+            return solve_shifted(self._box, r1, self._v, self._true.gen,
+                                 self.meter)
+        except BadShiftError:
+            return None
 
     # -- minimal polynomial extras -----------------------------------------------
 
@@ -341,21 +338,6 @@ class SingularDenialProver(HonestProver):
         # The first nonsingular preconditioner will do: the forged
         # commitment does not depend on it.
         return True
-
-    def solution(self, r1):
-        # Best effort: answer with a correct system solution so that only the
-        # evaluation check can expose the forged commitment.
-        box, v = self._box, self._v
-        try:
-            cand = vector_minpoly(box, v)
-        except OracleCapError:
-            return super().solution(r1)
-        if cand.eval(r1) == 0:
-            return None
-        try:
-            return solve_shifted(box, r1, v, cand, self.meter, self._true.giants)
-        except IntegrityError:
-            return None
 
 
 class WrongClaimProver(HonestProver):

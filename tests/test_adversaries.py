@@ -45,6 +45,30 @@ def test_forged_pair_changes_the_fraction(fbig):
         assert forged.gen * true.res != forged.res * true.gen
 
 
+def test_degree_pad_multiplies_a_short_generator(fbig, monkeypatch):
+    # A diagonal matrix with a repeated entry has a minimal polynomial of
+    # degree n - 1, so every projected generator is short and degree_pad
+    # commits gen*(x - c) instead of wrong_generator's forgery.
+    from certilin import SparseMatrix, harness
+    from certilin.krylov import minimal_generator_pair
+    from certilin.polynomial import poly_gcd
+    entries = [1, 2, 2, 3, 4, 5, 6, 7, 8, 9]
+    a = SparseMatrix(fbig, N, [(i, i, d) for i, d in enumerate(entries)])
+    true = minimal_generator_pair(a, fbig.sample_vector(Random(2), N),
+                                  fbig.sample_vector(Random(3), N))
+    assert true.gen.degree == N - 1
+    forged = adversarial_prover("degree_pad")(fbig, Random(4))._corrupt_pair(true, a)
+    factor, rem = forged.gen.divrem(true.gen)
+    assert rem.is_zero() and factor.degree == 1 and factor.is_monic()
+    assert forged.gen.is_monic()
+    assert forged.res.degree < forged.gen.degree
+    assert poly_gcd(forged.gen, forged.res).degree == 0
+    monkeypatch.setattr(harness, "_trial_matrix", lambda field, n, setup: a)
+    report = run_attack("fauv", "degree_pad", 300, N, P, seed=17)
+    assert report.rejected > 0
+    assert report.passed
+
+
 @pytest.mark.parametrize("strategy,trials", [
     ("wrong_generator", 2000),
     ("wrong_residue", 1000),

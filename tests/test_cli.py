@@ -324,3 +324,15 @@ def test_verify_field_too_small_is_64(tmp_path):
     assert code == 64
     assert out == ""
     assert "requires p >= 132" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("attack", "--protocol", "det-gamma", "--strategy", "wrong_generator",
+     "--trials", "10", "--n", "12", "--modulus", "101"),
+    ("bench", "--protocol", "det-gamma", "--sizes", "12", "--modulus", "101"),
+])
+def test_field_too_small_is_64_for_every_command(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 64
+    assert out == ""
+    assert err == "error: protocol det-gamma requires p >= 132, got p = 101\n"

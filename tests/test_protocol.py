@@ -240,6 +240,30 @@ def test_choose_simple_rows_are_a_times_gamma(n, seed, s, t):
         dense_charpoly(rows, field), dense_charpoly(minor, field))
 
 
+def test_simple_solution_at_a_root_of_the_true_chi_is_none(f101):
+    # singular_denial keeps the first nonsingular Gamma, so its true
+    # (chi_B, chi_minor) need not be coprime, and (r I - B) w = e_n can be
+    # consistent at a root r of chi_B.  The prover still answers None there
+    # (BadChallenge), not a dense solution.
+    from certilin import adversarial_prover
+    from certilin.harness import gen_nonsingular
+    from certilin.oracle import dense_solve
+    n = 3
+    a = gen_nonsingular(f101, n, Random(130), 0.6)
+    prover = adversarial_prover("singular_denial")(f101, Random(130))
+    s, t = prover.choose_simple(a)
+    rows = materialize(ProductOp(a, GammaMatrix(f101, n, t=t, s=s)))
+    chi = dense_charpoly(rows, f101)
+    e_n = [0] * (n - 1) + [1]
+    consistent = [
+        r for r in range(f101.p) if chi.eval(r) == 0 and dense_solve(
+            [[(r * (i == j) - x) % f101.p for j, x in enumerate(row)]
+             for i, row in enumerate(rows)], e_n, f101) is not None]
+    assert consistent
+    for r in consistent:
+        assert prover.simple_solution(r) is None
+
+
 def test_det_gamma_randomness_economy(fbig):
     a = random_nonsingular_dense_checked(fbig, 10, Random(90), 0.3)
     t, outcome = certify_det_gamma(a, rng=13)
