@@ -23,7 +23,7 @@ from .messages import (Accept, BadChallenge, Bezout, Commitment, Outcome,
                        outcome_exit_code, parse_transcript)
 from .meter import CostMeter
 from .oracle import (oracle_cap, oracle_charpoly, oracle_det, oracle_kernel,
-                     oracle_minpoly, vector_minpoly)
+                     oracle_minpoly)
 from .polynomial import Poly, berlekamp_massey, poly_gcd, poly_lcm, xgcd
 from .protocol import (BudgetReport, budget_report, certify_charpoly,
                        certify_det_diag, certify_det_gamma,

@@ -12,6 +12,15 @@ k < n, s = isqrt(n) (the "giant steps").  The shifted solve evaluates its
 quotient polynomial at A from them by baby steps and giant steps (Paterson
 & Stockmeyer 1973): min(s, deg f) applications of A, residual check
 included, instead of deg f for plain Horner.
+
+From the half-gcd's size rule ``polynomial._HGCD_MIN`` up (deg f for the
+residue, n for the solve) both run on its Kronecker packing: the residue
+is one packed product, and each giant step is packed once, so that a
+baby-step combination is one sum of big-by-small products, unpacked once.
+A projection u with at most one nonzero entry (det-gamma's e_1) takes each
+sequence term as one product.  Results are the same bit for bit, and the
+meter still charges each term the n multiplications and n - 1 additions
+of a dense dot product.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from operator import mul
 from .blackbox import LinearOp, matvec
 from .errors import BadShiftError, IntegrityError, UsageError
 from .meter import CostMeter
-from .polynomial import Poly
+from .polynomial import _HGCD_MIN, Poly, _pack, _slot_bytes, _unpack
 
 
 @dataclass(frozen=True)
@@ -56,12 +65,14 @@ def wiedemann_sequence(op: LinearOp, u: list, v: list, length: int,
     seq = []
     cur = list(v)
     stride = isqrt(op.n)
+    nonzero = [j for j, c in enumerate(u) if c]
+    j = nonzero[0] if nonzero else 0
     for i in range(length):
         if i:
             cur = matvec(op, cur, meter)
         if giants is not None and i < op.n and i % stride == 0:
             giants.append(cur)
-        acc = sum(map(mul, u, cur))
+        acc = sum(map(mul, u, cur)) if len(nonzero) > 1 else u[j] * cur[j]
         if meter is not None:
             meter.mul += op.n
             meter.add += op.n - 1
@@ -82,7 +93,12 @@ def residue_polynomial(gen: Poly, seq: list) -> Poly:
         raise UsageError("sequence shorter than the generator's degree")
     p = field.p
     g = gen.coeffs
-    return Poly(field, [sum(map(mul, g[j + 1:], seq)) % p for j in range(d)])
+    if d < _HGCD_MIN:
+        return Poly(field, [sum(map(mul, g[j + 1:], seq)) % p for j in range(d)])
+    # Coefficients d..2d-1 of gen * sum_(i<d) seq[i] x^(d-1-i).
+    w = _slot_bytes(p, d + 1)
+    prod = _pack(g, w) * _pack([a % p for a in reversed(seq[:d])], w)
+    return Poly(field, tuple(_unpack(prod >> (8 * w * d), w, d, p)), _canonical=True)
 
 
 def minimal_generator_pair(op: LinearOp, u: list, v: list,
@@ -138,14 +154,24 @@ def solve_shifted(op: LinearOp, r1: int, v: list, gen: Poly,
     carry = 0
     for k in range(d - 1, -1, -1):
         carry = q[k] = (g[k + 1] + r1 * carry) % p
-    cols = list(zip(*steps))
-    m = min(stride, d)
-    w = [0] * op.n
+    n, m = op.n, min(stride, d)
+    if n >= _HGCD_MIN:
+        size = _slot_bytes(p, len(steps))
+        packed = [_pack([a % p for a in step], size) for step in steps]
+        slots = range(0, n * size, size)
+    else:
+        cols = list(zip(*steps))
+    w = [0] * n
     for r in range(m - 1, -1, -1):
         if r < m - 1:
             w = matvec(op, w, meter)
         cs = q[r::stride]
-        w = [(a + sum(map(mul, cs, col))) % p for a, col in zip(w, cols)]
+        if n >= _HGCD_MIN:
+            b = sum(map(mul, cs, packed)).to_bytes(n * size, "little")
+            w = [(a + int.from_bytes(b[i:i + size], "little")) % p
+                 for a, i in zip(w, slots)]
+        else:
+            w = [(a + sum(map(mul, cs, col))) % p for a, col in zip(w, cols)]
     scale = pow(fr, -1, p)
     w = [a * scale % p for a in w]
     check = matvec(op, w, meter)

@@ -29,13 +29,13 @@ from certilin import (Accept, GammaMatrix, HonestProver, Poly, PrimeField,
                       certify_generator, certify_minpoly, gamma_det,
                       minimal_generator_pair, oracle_charpoly, oracle_det,
                       oracle_minpoly, parse_transcript, poly_gcd,
-                      solve_shifted, vector_minpoly, verify_noninteractive,
-                      xgcd)
+                      solve_shifted, verify_noninteractive, xgcd)
 from certilin.blackbox import DiagonalMatrix, matvec
 from certilin.harness import (_corrupt_payload_byte, gen_nonsingular,
                               gen_sparse, random_nonsingular_dense_checked,
                               run_attack, run_completeness, subseed,
                               three_sigma)
+from certilin.oracle import vector_minpoly
 from certilin.protocol import budget_report, fiat_shamir
 
 P_BIG = 1_000_003

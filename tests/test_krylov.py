@@ -9,10 +9,12 @@ from certilin import (BadShiftError, CostMeter, HonestProver, IntegrityError,
                       Poly, PrimeField, SparseMatrix, UsageError,
                       minimal_generator_pair, oracle_det, oracle_kernel,
                       oracle_minpoly, poly_gcd, poly_lcm, residue_polynomial,
-                      solve_shifted, vector_minpoly, wiedemann_sequence)
+                      solve_shifted, wiedemann_sequence)
+from certilin import krylov
 from certilin.blackbox import matvec
 from certilin.harness import gen_sparse
-from certilin.oracle import dense_solve
+from certilin.oracle import dense_solve, vector_minpoly
+from certilin.polynomial import _HGCD_MIN, _pack
 
 from conftest import PRIME_BIG
 from helpers import identity_matrix
@@ -296,3 +298,167 @@ def test_residue_is_polynomial_part(gen_coeffs, seq):
     N = len(seq)
     product = gen * Poly(f, seq[::-1])
     assert residue_polynomial(gen, seq) == Poly(f, product.coeffs[N:])
+
+
+# The residue and the solve's baby-step combinations run packed from
+# _HGCD_MIN up (deg gen for the residue, n for the solve); these tests
+# cover both sides of that rule against the plain formulas.
+PACKED_PRIMES = (101, 10**6 + 3, 10**9 + 7, 2**62 - 57)
+
+
+def unreduced(rng, p):
+    """A random residue mod p, written as a negative entry, one >= p or one
+    in [0, p)."""
+    return rng.randrange(p) + p * rng.choice([-2, -1, 0, 0, 1, 3])
+
+
+def classical_residue(gen, seq):
+    """res_j = sum_(k > j) gen_k * seq[k-1-j] mod p, term by term."""
+    g, d = gen.coeffs, gen.degree
+    return Poly(gen.field, [sum(g[k] * seq[k - 1 - j] for k in range(j + 1, d + 1))
+                            for j in range(d)])
+
+
+@st.composite
+def residue_cases(draw):
+    # Generators from two below the packed path's start to degree 300, not
+    # always monic; sequences up to five terms longer than the degree, with
+    # entries negative or >= p, or all 0 mod p (the zero residue).
+    f = PrimeField(draw(st.sampled_from(PACKED_PRIMES)))
+    p = f.p
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([_HGCD_MIN - 2, _HGCD_MIN - 1, _HGCD_MIN,
+                              rng.randrange(_HGCD_MIN + 1, 301)]))
+    gen = Poly(f, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
+    length = d + draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        seq = [unreduced(rng, p) for _ in range(length)]
+    else:
+        seq = [p * rng.randrange(-2, 4) for _ in range(length)]
+    return gen, seq
+
+
+@given(residue_cases())
+@settings(max_examples=120, deadline=None)
+def test_residue_matches_classical_formula(case):
+    gen, seq = case
+    res = residue_polynomial(gen, seq)
+    assert res == classical_residue(gen, seq)
+    assert res.degree < gen.degree
+    if not any(a % gen.field.p for a in seq):
+        assert res.is_zero()
+
+
+def test_residue_short_sequence_above_the_rule():
+    f = PrimeField(10**9 + 7)
+    gen = Poly(f, [3] * (_HGCD_MIN + 5) + [1])
+    with pytest.raises(UsageError, match="shorter"):
+        residue_polynomial(gen, [1] * (gen.degree - 1))
+    assert residue_polynomial(gen, [0] * gen.degree).is_zero()
+
+
+def test_packing_starts_at_the_size_rule(monkeypatch):
+    calls = []
+    monkeypatch.setattr(krylov, "_pack",
+                        lambda c, w: calls.append(len(c)) or _pack(c, w))
+    f = PrimeField(10**9 + 7)
+    for d in (_HGCD_MIN - 1, _HGCD_MIN):
+        residue_polynomial(Poly(f, [2] * d + [1]), [1] * d)
+    assert calls == [_HGCD_MIN + 1, _HGCD_MIN]
+    for n in (_HGCD_MIN - 1, _HGCD_MIN):
+        a = gen_sparse(f, n, 4 / n, Random(n))
+        v = [1] * n
+        pair = minimal_generator_pair(a, v, v)
+        calls.clear()
+        r1 = next(r for r in range(2, 100) if pair.gen.eval(r))
+        plain = solve_shifted(a, r1, v, pair.gen)
+        assert solve_shifted(a, r1, v, pair.gen, giants=pair.giants) == plain
+        steps = 1 + len(pair.giants)
+        assert calls == ([n] * steps if n >= _HGCD_MIN else [])
+
+
+def horner_solve(a, r1, v, gen):
+    """(1/gen(r1)) q(A) v, q = (gen - gen(r1)) / (x - r1), by plain Horner."""
+    p = a.field.p
+    q = ((gen - Poly.constant(gen.field, gen.eval(r1)))
+         // Poly(gen.field, [-r1, 1])).coeffs
+    w = [0] * a.n
+    for c in reversed(q):
+        w = [(x + c * y) % p for x, y in zip(matvec(a, w), v)]
+    scale = pow(gen.eval(r1), -1, p)
+    return [x * scale % p for x in w]
+
+
+@pytest.mark.parametrize("n", [_HGCD_MIN - 1, _HGCD_MIN, 150])
+@pytest.mark.parametrize("p", [101, 10**9 + 7])
+def test_solve_shifted_packed_matches_plain_horner(n, p):
+    # Random sparse matrices, and a diagonal one with eigenvalues 2, 3, 5 and
+    # one 2x2 Jordan block, whose generators have degree 4 < isqrt(n).  v
+    # has entries that are negative and >= p; the Krylov pass keeps it as
+    # its first giant step unreduced.
+    f = PrimeField(p)
+    rng = Random(n * p)
+    few = SparseMatrix(f, n, [(i, i, (2, 3, 5)[i % 3]) for i in range(n)]
+                       + [(0, 3, 1)])
+    for a in (gen_sparse(f, n, 4 / n, rng), few):
+        v = [unreduced(rng, p) for _ in range(n)]
+        u = [rng.randrange(p) for _ in range(n)]
+        pair = minimal_generator_pair(a, u, v)
+        if a is few:
+            assert pair.gen == P(f, -2, 1) * P(f, -2, 1) * P(f, -3, 1) * P(f, -5, 1)
+            assert pair.gen.degree < isqrt(n)
+        broken = Poly(f, [pair.gen.coeffs[0] + 1, *pair.gen.coeffs[1:]])
+        roots = [r for r in range(min(p, 200)) if not pair.gen.eval(r)]
+        shifts = [rng.randrange(p) for _ in range(3)] + roots[:1]
+        for cand in (pair.gen, broken):
+            for r1 in shifts:
+                plain, giant = CostMeter(), CostMeter()
+                expected = _outcome(lambda: solve_shifted(a, r1, v, cand, plain))
+                got = _outcome(lambda: solve_shifted(a, r1, v, cand, giant,
+                                                     pair.giants))
+                assert got == expected
+                if isinstance(got, list):
+                    assert got == horner_solve(a, r1, v, cand)
+                    assert plain.matvec == cand.degree
+                    assert giant.matvec == min(isqrt(n), cand.degree)
+                if cand is broken:
+                    assert got in (BadShiftError, IntegrityError)
+                if cand is pair.gen and r1 in roots:
+                    assert got is BadShiftError
+        r1 = shifts[0]
+        if pair.gen.degree > isqrt(n):
+            with pytest.raises(UsageError, match="do not reach"):
+                solve_shifted(a, r1, v, pair.gen, giants=pair.giants[:1])
+        stray = minimal_generator_pair(a, u, [x + 1 for x in v]).giants
+        with pytest.raises(UsageError, match="start at v"):
+            solve_shifted(a, r1, v, pair.gen, giants=stray)
+
+
+@pytest.mark.parametrize("n", [10, _HGCD_MIN + 6])
+def test_sequence_unit_projections_match_dense_dot(n):
+    # A projection with at most one nonzero entry takes one product per
+    # term; the same projection with p added to every entry, like one with
+    # two nonzero entries, takes the dense dot.  Sequence and meter agree,
+    # and match u^T A^i v.
+    p = 10**9 + 7
+    f = PrimeField(p)
+    rng = Random(n)
+    a = gen_sparse(f, n, 0.3, rng)
+    v = [unreduced(rng, p) for _ in range(n)]
+
+    def unit(j, c):
+        return [c if i == j else 0 for i in range(n)]
+
+    two = unit(0, 1)
+    two[n - 1] = 2
+    for u in (unit(0, 1), unit(n - 1, 1), [0] * n, unit(n // 2, p + 7),
+              unit(1, 3 * p), two):
+        unit_meter, dense_meter = CostMeter(), CostMeter()
+        seq = wiedemann_sequence(a, u, v, 2 * n, unit_meter)
+        dense = wiedemann_sequence(a, [c + p for c in u], v, 2 * n, dense_meter)
+        assert seq == dense and unit_meter == dense_meter
+        assert unit_meter.mul >= 2 * n * n and unit_meter.matvec == 2 * n - 1
+        cur = v
+        for term in seq:
+            assert term == sum(x * y for x, y in zip(u, cur)) % p
+            cur = matvec(a, cur)

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from certilin import (IntegrityError, OracleCapError, Poly, PrimeField,
                       SparseMatrix, oracle_charpoly, oracle_det, oracle_kernel,
-                      oracle_minpoly, vector_minpoly)
+                      oracle_minpoly)
 from certilin import oracle
 from certilin.blackbox import matvec
-from certilin.oracle import _interpolate, dense_solve, materialize
+from certilin.oracle import (_interpolate, dense_solve, materialize,
+                             vector_minpoly)
 from certilin.harness import gen_sparse
 
 from helpers import identity_matrix
