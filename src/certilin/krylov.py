@@ -32,7 +32,7 @@ from operator import mul
 from .blackbox import LinearOp, matvec
 from .errors import BadShiftError, IntegrityError, UsageError
 from .meter import CostMeter
-from .polynomial import _HGCD_MIN, Poly, _pack, _slot_bytes, _unpack
+from .polynomial import _HGCD_MIN, Poly, _pack, _slot_bytes, _slots
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def residue_polynomial(gen: Poly, seq: list) -> Poly:
     # Coefficients d..2d-1 of gen * sum_(i<d) seq[i] x^(d-1-i).
     w = _slot_bytes(p, d + 1)
     prod = _pack(g, w) * _pack([a % p for a in reversed(seq[:d])], w)
-    return Poly(field, tuple(_unpack(prod >> (8 * w * d), w, d, p)), _canonical=True)
+    return Poly(field, _slots(prod >> (8 * w * d), w, d))
 
 
 def minimal_generator_pair(op: LinearOp, u: list, v: list,
@@ -158,20 +158,19 @@ def solve_shifted(op: LinearOp, r1: int, v: list, gen: Poly,
     if n >= _HGCD_MIN:
         size = _slot_bytes(p, len(steps))
         packed = [_pack([a % p for a in step], size) for step in steps]
-        slots = range(0, n * size, size)
+
+        def combine(cs):
+            return _slots(sum(map(mul, cs, packed)), size, n)
     else:
         cols = list(zip(*steps))
+
+        def combine(cs):
+            return [sum(map(mul, cs, col)) for col in cols]
     w = [0] * n
     for r in range(m - 1, -1, -1):
         if r < m - 1:
             w = matvec(op, w, meter)
-        cs = q[r::stride]
-        if n >= _HGCD_MIN:
-            b = sum(map(mul, cs, packed)).to_bytes(n * size, "little")
-            w = [(a + int.from_bytes(b[i:i + size], "little")) % p
-                 for a, i in zip(w, slots)]
-        else:
-            w = [(a + sum(map(mul, cs, col))) % p for a, col in zip(w, cols)]
+        w = [(a + z) % p for a, z in zip(w, combine(q[r::stride]))]
     scale = pow(fr, -1, p)
     w = [a * scale % p for a in w]
     check = matvec(op, w, meter)

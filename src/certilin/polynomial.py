@@ -304,11 +304,15 @@ def _pack(c: list, w: int) -> int:
     return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in c]), "little")
 
 
+def _slots(x: int, w: int, n: int) -> list:
+    """The first n w-byte slots of x, as they are."""
+    b = x.to_bytes(n * w, "little")
+    return [int.from_bytes(b[i:i + w], "little") for i in range(0, n * w, w)]
+
+
 def _unpack(x: int, w: int, n: int, p: int) -> list:
     """The first n slots of x, reduced mod p and stripped."""
-    b = x.to_bytes(n * w, "little")
-    return _strip([int.from_bytes(b[i:i + w], "little") % p
-                   for i in range(0, n * w, w)])
+    return _strip([c % p for c in _slots(x, w, n)])
 
 
 def _mat_mul(m: tuple, cols: list, p: int, top: tuple = ((), ()), k: int = 0) -> list:

@@ -287,19 +287,6 @@ def test_projection_bound_smoke(fbig):
     assert hits / trials >= bound - sigma3 - 1e-9
 
 
-@given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=10),
-       st.lists(st.integers(min_value=0, max_value=100), min_size=10, max_size=14))
-@settings(max_examples=300, deadline=None)
-def test_residue_is_polynomial_part(gen_coeffs, seq):
-    # gen * sum_i a_i x^(-i-1) = (gen * sum_i a_i x^(N-1-i)) / x^N; the
-    # polynomial part is the product's coefficients from x^N up.
-    f = PrimeField(101)
-    gen = Poly(f, gen_coeffs)
-    N = len(seq)
-    product = gen * Poly(f, seq[::-1])
-    assert residue_polynomial(gen, seq) == Poly(f, product.coeffs[N:])
-
-
 # The residue and the solve's baby-step combinations run packed from
 # _HGCD_MIN up (deg gen for the residue, n for the solve); these tests
 # cover both sides of that rule against the plain formulas.
@@ -312,18 +299,16 @@ def unreduced(rng, p):
     return rng.randrange(p) + p * rng.choice([-2, -1, 0, 0, 1, 3])
 
 
-def classical_residue(gen, seq):
-    """res_j = sum_(k > j) gen_k * seq[k-1-j] mod p, term by term."""
-    g, d = gen.coeffs, gen.degree
-    return Poly(gen.field, [sum(g[k] * seq[k - 1 - j] for k in range(j + 1, d + 1))
-                            for j in range(d)])
-
-
 @st.composite
 def residue_cases(draw):
-    # Generators from two below the packed path's start to degree 300, not
-    # always monic; sequences up to five terms longer than the degree, with
-    # entries negative or >= p, or all 0 mod p (the zero residue).
+    # Small generators over F_101, zero and non-monic ones included; and
+    # generators from two below the packed path's start to degree 300 over
+    # PACKED_PRIMES, with sequences up to five terms longer than the degree
+    # whose entries are negative or >= p, or all 0 mod p (the zero residue).
+    if draw(st.booleans()):
+        f = PrimeField(101)
+        gen = Poly(f, draw(st.lists(st.integers(0, 100), min_size=1, max_size=10)))
+        return gen, draw(st.lists(st.integers(0, 100), min_size=10, max_size=14))
     f = PrimeField(draw(st.sampled_from(PACKED_PRIMES)))
     p = f.p
     rng = Random(draw(st.integers(0, 2**32 - 1)))
@@ -339,13 +324,17 @@ def residue_cases(draw):
 
 
 @given(residue_cases())
-@settings(max_examples=120, deadline=None)
-def test_residue_matches_classical_formula(case):
+@settings(max_examples=400, deadline=None)
+def test_residue_is_polynomial_part(case):
+    # gen * sum_i a_i x^(-i-1) = (gen * sum_i a_i x^(N-1-i)) / x^N; the
+    # polynomial part is the product's coefficients from x^N up.
     gen, seq = case
+    f = gen.field
+    N = len(seq)
+    product = gen * Poly(f, seq[::-1])
     res = residue_polynomial(gen, seq)
-    assert res == classical_residue(gen, seq)
-    assert res.degree < gen.degree
-    if not any(a % gen.field.p for a in seq):
+    assert res == Poly(f, product.coeffs[N:])
+    if not any(a % f.p for a in seq):
         assert res.is_zero()
 
 
@@ -425,13 +414,6 @@ def test_solve_shifted_packed_matches_plain_horner(n, p):
                     assert got in (BadShiftError, IntegrityError)
                 if cand is pair.gen and r1 in roots:
                     assert got is BadShiftError
-        r1 = shifts[0]
-        if pair.gen.degree > isqrt(n):
-            with pytest.raises(UsageError, match="do not reach"):
-                solve_shifted(a, r1, v, pair.gen, giants=pair.giants[:1])
-        stray = minimal_generator_pair(a, u, [x + 1 for x in v]).giants
-        with pytest.raises(UsageError, match="start at v"):
-            solve_shifted(a, r1, v, pair.gen, giants=stray)
 
 
 @pytest.mark.parametrize("n", [10, _HGCD_MIN + 6])
