@@ -32,7 +32,8 @@ from operator import mul
 from .blackbox import LinearOp, matvec
 from .errors import BadShiftError, IntegrityError, UsageError
 from .meter import CostMeter
-from .polynomial import _HGCD_MIN, Poly, _pack, _slot_bytes, _slots
+from .polynomial import (_HGCD_MIN, Poly, _pack, _slot_bytes, _slots,
+                         berlekamp_massey)
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,6 @@ def residue_polynomial(gen: Poly, seq: list) -> Poly:
 def minimal_generator_pair(op: LinearOp, u: list, v: list,
                            meter: CostMeter | None = None) -> GeneratorPair:
     """Generator and residue from 2n sequence terms (Berlekamp-Massey)."""
-    from .polynomial import berlekamp_massey
-
     giants = []
     seq = wiedemann_sequence(op, u, v, 2 * op.n, meter, giants)
     gen = berlekamp_massey(op.field, seq)

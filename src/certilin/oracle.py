@@ -1,12 +1,14 @@
 """Dense ground-truth oracles for testing and desk-scale prover work.
 
-Everything here is exact O(n^3)-ish Gaussian elimination over Z_p, capped
-at a configurable dimension (default 64, overridable through the
+Everything here is exact O(n^3)-ish elimination over Z_p, capped at a
+configurable dimension (default 64, overridable through the
 CERTILIN_ORACLE_CAP environment variable).  The characteristic polynomial
-is obtained by evaluating det(x*I - A) at n+1 points and interpolating;
-the minimal polynomial by finding the first linear dependency among the
-vectorized powers I, A, A^2, ...  These routes are deliberately independent
-of the Berlekamp-Massey / black-box machinery they are used to check.
+is det(x*I - A) at n+1 points, interpolated.  One dependency search gives
+the rest: a kernel vector is the first linear dependency among the
+columns, and the minimal polynomial is the lcm of the unit vectors' Krylov
+annihilators (Wiedemann 1986), each found by multiplying with the
+materialized rows.  These routes are deliberately independent of the
+Berlekamp-Massey / black-box machinery they are used to check.
 
 Results are cached on :class:`SparseMatrix` instances (immutable after
 construction, so this is safe).
@@ -15,11 +17,12 @@ construction, so this is safe).
 from __future__ import annotations
 
 import os
+from operator import mul
 
 from .blackbox import LinearOp, SparseMatrix
 from .errors import IntegrityError, OracleCapError, UsageError
 from .field import PrimeField
-from .polynomial import Poly
+from .polynomial import Poly, poly_lcm
 
 DEFAULT_ORACLE_CAP = 64
 
@@ -91,35 +94,51 @@ def dense_det(rows: list, field: PrimeField) -> int:
     return det % p
 
 
-def _gauss_jordan(m: list, n: int, p: int) -> list:
-    """Reduce the first n columns of the rows m in place.
+def _first_dependency(field: PrimeField, vectors):
+    """Monic combo polynomial of the first linear dependency in a stream.
 
-    Returns the pivot columns; the i-th pivot is a 1 in row i, and every
-    other entry of a pivot column is 0.
+    The k-th vector carries combo x^k.  None when the stream ends first.
     """
+    p = field.p
+    basis = []   # (pivot, normalized vector, combo coefficients)
+    for k, vec in enumerate(vectors):
+        v = list(vec)
+        combo = [0] * k + [1]
+        for piv, row, cmb in basis:
+            f = v[piv]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+                for i, ci in enumerate(cmb):
+                    combo[i] = (combo[i] - f * ci) % p
+        piv = next((i for i, a in enumerate(v) if a), None)
+        if piv is None:
+            return Poly(field, combo).monic()
+        inv = pow(v[piv], -1, p)
+        v = [a * inv % p for a in v]
+        combo = [a * inv % p for a in combo]
+        basis.append((piv, v, combo))
+    return None
+
+
+def dense_solve(rows: list, b: list, field: PrimeField):
+    """One solution of A x = b by Gauss-Jordan, or None if inconsistent."""
+    p = field.p
+    n = len(rows)
+    m = [rows[i][:] + [b[i] % p] for i in range(n)]
     pivots = []
     for col in range(n):
         rank = len(pivots)
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        piv = next((r for r in range(rank, n) if m[r][col]), None)
         if piv is None:
             continue
         m[piv], m[rank] = m[rank], m[piv]
         inv = pow(m[rank][col], -1, p)
         m[rank] = [v * inv % p for v in m[rank]]
-        for r in range(len(m)):
+        for r in range(n):
             if r != rank and m[r][col]:
                 f = m[r][col]
                 m[r] = [(a - f * c) % p for a, c in zip(m[r], m[rank])]
         pivots.append(col)
-    return pivots
-
-
-def dense_solve(rows: list, b: list, field: PrimeField):
-    """One solution of A x = b, or None when the system is inconsistent."""
-    p = field.p
-    n = len(rows)
-    m = [rows[i][:] + [b[i] % p] for i in range(n)]
-    pivots = _gauss_jordan(m, n, p)
     if any(m[r][n] for r in range(len(pivots), n)):
         return None
     x = [0] * n
@@ -129,19 +148,15 @@ def dense_solve(rows: list, b: list, field: PrimeField):
 
 
 def dense_kernel(rows: list, field: PrimeField):
-    """A nonzero kernel vector, or None when the matrix is nonsingular."""
-    p = field.p
-    n = len(rows)
-    m = [row[:] for row in rows]
-    pivots = _gauss_jordan(m, n, p)
-    free = next((c for c in range(n) if c not in pivots), None)
-    if free is None:
+    """A nonzero kernel vector, or None when the matrix is nonsingular.
+
+    The first linear dependency among the columns: entry 1 at the first
+    column that depends on the ones before it, zeros after it.
+    """
+    dep = _first_dependency(field, zip(*rows))
+    if dep is None:
         return None
-    x = [0] * n
-    x[free] = 1
-    for r, col in enumerate(pivots):
-        x[col] = (-m[r][free]) % p
-    return x
+    return list(dep.coeffs) + [0] * (len(rows) - len(dep.coeffs))
 
 
 # -- spectral oracles --------------------------------------------------------
@@ -169,10 +184,7 @@ def _interpolate(field: PrimeField, xs: list, ys: list) -> Poly:
 
 
 def oracle_det(a) -> int:
-    def compute():
-        rows = materialize(a)
-        return dense_det(rows, a.field)
-    return _cached(a, "det", compute)
+    return _cached(a, "det", lambda: dense_det(materialize(a), a.field))
 
 
 def dense_charpoly(rows: list, field: PrimeField) -> Poly:
@@ -200,70 +212,40 @@ def oracle_charpoly(a) -> Poly:
     return _cached(a, "charpoly", lambda: dense_charpoly(materialize(a), a.field))
 
 
-def _first_dependency(field: PrimeField, vectors) -> Poly:
-    """Monic combo polynomial of the first linear dependency in a stream.
-
-    ``vectors`` yields flattened iterates; the k-th carries combo x^k.
-    """
+def _krylov_minpoly(rows: list, field: PrimeField, v: list) -> Poly:
+    """Minimal annihilator of v, A v, A^2 v, ... with A given by its rows."""
     p = field.p
-    basis = []   # (pivot, normalized vector, combo coefficients)
-    for k, vec in enumerate(vectors):
-        v = list(vec)
-        combo = [0] * k + [1]
-        for piv, row, cmb in basis:
-            f = v[piv]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-                need = max(len(combo), len(cmb))
-                combo = combo + [0] * (need - len(combo))
-                for i, ci in enumerate(cmb):
-                    combo[i] = (combo[i] - f * ci) % p
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is None:
-            return Poly(field, combo).monic()
-        inv = pow(v[piv], -1, p)
-        v = [a * inv % p for a in v]
-        combo = [a * inv % p for a in combo]
-        basis.append((piv, v, combo))
-    raise UsageError("no dependency found; stream exhausted early")
-
-
-def oracle_minpoly(a) -> Poly:
-    """First dependency among vectorized powers I, A, A^2, ..."""
-    def compute():
-        rows = materialize(a)
-        field = a.field
-        p = field.p
-        n = a.n
-
-        def powers():
-            cur = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            while True:
-                yield [cur[i][j] for i in range(n) for j in range(n)]
-                cur = [[sum(cur[i][k] * rows[k][j] for k in range(n)) % p
-                        for j in range(n)] for i in range(n)]
-
-        return _first_dependency(field, powers())
-    return _cached(a, "minpoly", compute)
-
-
-def vector_minpoly(a, v: list) -> Poly:
-    """Minimal annihilator of the Krylov stream v, A v, A^2 v, ..."""
-    _check_cap(a.n)
-    field = a.field
 
     def krylov():
         cur = list(v)
         while True:
             yield cur
-            cur = a.apply(cur)
+            cur = [sum(map(mul, row, cur)) % p for row in rows]
 
     return _first_dependency(field, krylov())
 
 
-def oracle_kernel(a):
+def oracle_minpoly(a) -> Poly:
+    """The lcm of the Krylov annihilators of the unit vectors."""
     def compute():
         rows = materialize(a)
-        return dense_kernel(rows, a.field)
-    return _cached(a, "kernel", compute)
+        n = a.n
+        f = Poly.one(a.field)
+        for j in range(n):
+            if f.degree >= n:
+                break
+            e = [0] * n
+            e[j] = 1
+            f = poly_lcm(f, _krylov_minpoly(rows, a.field, e))
+        return f
+    return _cached(a, "minpoly", compute)
+
+
+def vector_minpoly(a, v: list) -> Poly:
+    """Minimal annihilator of the Krylov stream v, A v, A^2 v, ..."""
+    return _krylov_minpoly(materialize(a), a.field, v)
+
+
+def oracle_kernel(a):
+    return _cached(a, "kernel", lambda: dense_kernel(materialize(a), a.field))
 

@@ -134,10 +134,6 @@ class Poly:
         b = other.coeffs + (0,) * (n - len(other.coeffs))
         return Poly(f, [(x - y) % p for x, y in zip(a, b)])
 
-    def __neg__(self) -> "Poly":
-        p = self.field.p
-        return Poly(self.field, tuple((-c) % p for c in self.coeffs), _canonical=True)
-
     def __mul__(self, other: "Poly") -> "Poly":
         f = self._peer(other)
         a, b = self.coeffs, other.coeffs

@@ -82,11 +82,20 @@ def test_gamma_det_matches_dense(f101):
 
 
 def test_gamma_det_op_count(f101):
+    # The meter charges what square-and-multiply spends, within the budget.
     import math
-    for n in (2, 3, 8, 100, 1000):
+    for n in [*range(1, 300), 800, 1023, 1024, 1600]:
         m = CostMeter()
-        gamma_det(GammaMatrix(f101, n, t=3, s=4), m)
-        assert m.field_ops <= 2 * math.ceil(math.log2(n)) + 1
+        value = gamma_det(GammaMatrix(f101, n, t=3, s=4), m)
+        acc, base, e, muls = 1, 3, n, 0
+        while e:
+            if e & 1:
+                acc, muls = acc * base % 101, muls + 1
+            e >>= 1
+            if e:
+                base, muls = base * base % 101, muls + 1
+        assert (value, m.mul, m.add) == ((acc + 4) % 101, muls, 1)
+        assert m.field_ops <= max(2 * math.ceil(math.log2(n)) + 1, 2)
 
 
 def test_sparse_matvec_meter_exact(f101):

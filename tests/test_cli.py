@@ -336,3 +336,36 @@ def test_field_too_small_is_64_for_every_command(argv):
     assert code == 64
     assert out == ""
     assert err == "error: protocol det-gamma requires p >= 132, got p = 101\n"
+
+
+def test_bench_text_rows_match_kv_rows():
+    argv = ("bench", "--protocol", "det-gamma", "--sizes", "6,10", "--seed", "1")
+    code, text, _ = run_cli(*argv)
+    assert code == 0
+    _, kv_out, _ = run_cli(*argv, "--format", "kv")
+    rows = [dict(tok.split("=", 1) for tok in line.split("  "))
+            for line in text.strip().split("\n")]
+    assert rows == [kv_row(line) for line in kv_out.strip().split("\n")]
+    assert [row["n"] for row in rows] == ["6", "10"]
+
+
+def test_bench_empty_size_list():
+    code, out, err = run_cli("bench", "--protocol", "det-gamma", "--sizes", ",")
+    assert code == 1
+    assert out == ""
+    assert err == "error: empty size list\n"
+
+
+def test_verify_reports_the_malformed_line(tmp_path, matrix_file):
+    transcript = tmp_path / "t.txt"
+    run_cli("prove", "--protocol", "det-gamma", "--matrix", str(matrix_file),
+            "--transcript", str(transcript), "--seed", "2")
+    lines = transcript.read_text().split("\n")
+    assert lines[2].startswith("prover commit ")
+    lines[2] = "prover commit x"
+    transcript.write_text("\n".join(lines))
+    code, out, err = run_cli("verify", "--transcript", str(transcript),
+                             "--matrix", str(matrix_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("parse error: line 3: ")

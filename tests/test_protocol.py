@@ -17,6 +17,7 @@ from certilin.harness import (gen_singular, gen_sparse,
                               random_nonsingular_dense_checked, run_protocol)
 from certilin.oracle import dense_charpoly, materialize
 from certilin.protocol import PROTOCOL_IDS
+from certilin.provers import WrongClaimProver
 
 from helpers import ScriptedChallenges, identity_matrix
 
@@ -490,3 +491,69 @@ def test_gate_boundary_exact(f101):
     assert isinstance(outcome, (Accept, BadChallenge))
     with pytest.raises(FieldTooSmallError):
         certify_det_gamma(identity_matrix(f101, 11), rng=12)
+
+
+# -- verifier exits that honest sessions do not reach ------------------------
+
+
+class EchoProjectionProver(HonestProver):
+    """minpoly-pc: offers the first projections again as the secondary ones."""
+
+    first = None
+
+    def open_session(self, box, u, v):
+        self.first = self.first or (list(u), list(v))
+        return super().open_session(box, u, v)
+
+    def secondary_projection(self, box):
+        return self.first
+
+
+class ShortProjectionProver(EchoProjectionProver):
+    def secondary_projection(self, box):
+        u, v = self.first
+        return u[:-1], v
+
+
+@pytest.mark.parametrize("cls, reason", [
+    (ShortProjectionProver, "malformed-transcript"),
+    (EchoProjectionProver, "degree-requirement"),
+])
+def test_minpoly_pc_rejects_a_bad_secondary_projection(fbig, cls, reason):
+    a = random_nonsingular_dense_checked(fbig, 6, Random(21), 0.4)
+    t, outcome = certify_minpoly(a, cls(fbig, Random(22)), rng=23,
+                                 perfectly_complete=True)
+    assert outcome == Reject(reason)
+    assert budget_report(t, a).ops_ok
+
+
+def test_det_simple_without_a_usable_challenge(f101):
+    # Every draw is a root of the committed chi, so none can be used.
+    from certilin.protocol import _SIMPLE_CHALLENGE_TRIES
+    a = random_nonsingular_dense_checked(f101, 4, Random(3), 0.5)
+    for seed in range(20):
+        t, _ = certify_det_simple(a, HonestProver(f101, Random(seed)), rng=1)
+        chi = next(m for _, m in t.messages if m.kind == "commit").gen
+        roots = [r for r in range(f101.p) if chi.eval(r) == 0]
+        if roots:
+            break
+    ch = ScriptedChallenges(roots[:1] * _SIMPLE_CHALLENGE_TRIES,
+                            RandomChallenges(Random(2)))
+    t, outcome = certify_det_simple(a, HonestProver(f101, Random(seed)),
+                                    challenges=ch)
+    assert outcome == BadChallenge("no-usable-challenge")
+    assert not ch.script
+    assert budget_report(t, a).ops_ok
+
+
+def test_charpoly_at_an_eigenvalue(fbig):
+    # At the eigenvalue 2, 2I - A is singular: the sub-determinant is a
+    # singularity witness, and the claim must vanish there.
+    a = diag_matrix(fbig, [1, 2, 3])
+    for cls, expected in ((HonestProver, Accept(oracle_charpoly(a))),
+                          (WrongClaimProver, Reject("charpoly-mismatch"))):
+        ch = ScriptedChallenges([2], RandomChallenges(Random(5)))
+        t, outcome = certify_charpoly(a, cls(fbig, Random(4)), challenges=ch)
+        assert outcome == expected
+        assert any(m.kind == "witness" for _, m in t.messages)
+        assert budget_report(t, a).ops_ok

@@ -369,3 +369,43 @@ def test_replay_verdicts_of_edited_transcripts_pinned(fbig):
     assert bounded == 190
     assert h.hexdigest() == (
         "90e61c107752df84595bb90d15518ac408bbadfa26dfed48fe30978455fbe139")
+
+
+def _bump_first_entry(line, p):
+    head, u, v = line.rsplit(" ", 2)
+    first, rest = u.split(",", 1)
+    return f"{head} {(int(first) + 1) % p},{rest} {v}"
+
+
+def _drop_last_entry(line, p):
+    head, u, v = line.rsplit(" ", 2)
+    return f"{head} {u.rsplit(',', 1)[0]} {v}"
+
+
+def _diagonal_announce(line, p):
+    return "prover " + render_message(DiagonalAnnounce(tuple(range(1, 9))))
+
+
+@pytest.mark.parametrize("protocol, prefix, edit, reason", [
+    # A projection other than the one the verifier draws.
+    ("minpoly", "verifier projection ", _bump_first_entry, "challenge-mismatch"),
+    # A public projection one entry short.
+    ("fauv", "verifier projection ", _drop_last_entry, "malformed-transcript"),
+    # det-gamma's preconditioner line announcing a diagonal.
+    ("det-gamma", "prover precond ", _diagonal_announce,
+     "malformed-preconditioner"),
+])
+def test_replay_rejects_an_edited_setup_line(fbig, matrix, protocol, prefix,
+                                            edit, reason):
+    rng = Random(3)
+    kw = ({"u": [fbig.sample(rng) for _ in range(8)],
+           "v": [fbig.sample(rng) for _ in range(8)]}
+          if protocol == "fauv" else {})
+    transcript, _ = fs_session(matrix, protocol, **kw)
+    lines = transcript.render().split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[at] = edit(lines[at], fbig.p)
+    parsed = parse_transcript("\n".join(lines))
+    out, meter = verify_noninteractive(parsed, matrix)
+    assert out == Reject(reason)
+    assert budget_report(replace(parsed, verifier_meter=meter), matrix).ops_ok
