@@ -1,6 +1,8 @@
 """Black-box n x n linear operators over Z_p.
 
-Everything here exposes only a matrix-times-vector product.  Concrete
+Everything here exposes a matrix-times-vector product, and an unmetered
+vector-times-matrix product ``apply_transpose`` (x^T A) that only the
+prover's Krylov pass uses; the verifier never calls it.  Concrete
 shapes are sparse COO matrices, diagonal matrices and the corner/diagonal
 preconditioner :class:`GammaMatrix`; lazy compositions (products and shifts
 r*I - A) apply their constituents in sequence and never materialize.
@@ -34,12 +36,16 @@ from .meter import CostMeter
 
 
 class LinearOp:
-    """Base class: an n x n operator exposing apply(x)."""
+    """Base class: an n x n operator exposing apply(x) and apply_transpose(x)."""
 
     field: PrimeField
     n: int
 
     def apply(self, x: list, meter: CostMeter | None = None) -> list:
+        raise NotImplementedError
+
+    def apply_transpose(self, x: list) -> list:
+        """x^T A, reduced mod p; unmetered."""
         raise NotImplementedError
 
     def matvec_cost(self) -> int:
@@ -127,19 +133,19 @@ class SparseMatrix(LinearOp):
         if n < 1:
             raise UsageError("dimension must be positive")
         p = field.p
+        index = operator.index
         acc: dict = {}
-        for i, j, v in entries:
-            if not (0 <= i < n and 0 <= j < n):
-                raise UsageError(f"entry ({i},{j}) out of range for n={n}")
-            acc[(i, j)] = (acc.get((i, j), 0) + v) % p
+        try:
+            for i, j, v in entries:
+                i, j, v = index(i), index(j), index(v)
+                if not (0 <= i < n and 0 <= j < n):
+                    raise UsageError(f"entry ({i},{j}) out of range for n={n}")
+                acc[(i, j)] = (acc.get((i, j), 0) + v) % p
+        except (TypeError, ValueError):
+            raise UsageError("matrix entries must be integer triples (i, j, v)") from None
         self.field = field
         self.n = n
-        index = operator.index
-        try:
-            self.entries = tuple(sorted((index(i), index(j), index(v))
-                                        for (i, j), v in acc.items() if v))
-        except TypeError:
-            raise UsageError("matrix entries must be integers") from None
+        self.entries = tuple(sorted((i, j, v) for (i, j), v in acc.items() if v))
         self._cache: dict = {}
 
     @property
@@ -166,6 +172,13 @@ class SparseMatrix(LinearOp):
             meter.add += self.nnz
         return y
 
+    def apply_transpose(self, x: list) -> list:
+        p = self.field.p
+        y = [0] * self.n
+        for i, j, v in self.entries:
+            y[j] += v * x[i]
+        return [c % p for c in y]
+
     def matvec_cost(self) -> int:
         return 2 * self.nnz
 
@@ -190,12 +203,17 @@ class DiagonalMatrix(LinearOp):
         self.field = field
         self.diag = tuple(field.check(d) for d in diag)
         self.n = len(self.diag)
+        if not self.n:
+            raise UsageError("dimension must be positive")
 
     def apply(self, x: list, meter: CostMeter | None = None) -> list:
         p = self.field.p
         if meter is not None:
             meter.mul += self.n
         return [d * xi % p for d, xi in zip(self.diag, x)]
+
+    def apply_transpose(self, x: list) -> list:
+        return self.apply(x)
 
     def matvec_cost(self) -> int:
         return self.n
@@ -227,6 +245,11 @@ class GammaMatrix(LinearOp):
             meter.mul += n + 1
             meter.add += n
         return y
+
+    def apply_transpose(self, x: list) -> list:
+        p, t = self.field.p, self.t
+        return ([(t * x[0] + self.s * x[-1]) % p]
+                + [(t * a - b) % p for a, b in zip(x[1:], x)])
 
     def matvec_cost(self) -> int:
         return 2 * self.n + 1
@@ -266,6 +289,9 @@ class ProductOp(LinearOp):
     def apply(self, x: list, meter: CostMeter | None = None) -> list:
         return self.left.apply(self.right.apply(x, meter), meter)
 
+    def apply_transpose(self, x: list) -> list:
+        return self.right.apply_transpose(self.left.apply_transpose(x))
+
     def matvec_cost(self) -> int:
         return self.left.matvec_cost() + self.right.matvec_cost()
 
@@ -289,6 +315,10 @@ class ShiftOp(LinearOp):
             meter.add += self.n
         r = self.r
         return [(r * xi - yi) % p for xi, yi in zip(x, y)]
+
+    def apply_transpose(self, x: list) -> list:
+        p, r = self.field.p, self.r
+        return [(r * xi - yi) % p for xi, yi in zip(x, self.inner.apply_transpose(x))]
 
     def matvec_cost(self) -> int:
         return self.inner.matvec_cost() + 2 * self.n

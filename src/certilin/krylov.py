@@ -14,11 +14,16 @@ quotient polynomial at A from them by baby steps and giant steps (Paterson
 included, instead of deg f for plain Horner.
 
 From the half-gcd's size rule ``polynomial._HGCD_MIN`` up (deg f for the
-residue, n for the solve) both run on its Kronecker packing: the residue
-is one packed product, and each giant step is packed once, so that a
-baby-step combination is one sum of big-by-small products, unpacked once.
-A projection u with at most one nonzero entry (det-gamma's e_1) takes each
-sequence term as one product.  Results are the same bit for bit, and the
+residue, n for the sequence and the solve) they run on its Kronecker
+packing: the residue is one packed product, and each giant step is packed
+once, so that a baby-step combination is one sum of big-by-small products,
+unpacked once.  The sequence uses the transposition principle (Bostan,
+Lecerf & Schost 2003): u^T A^(i+r) v = ((A^T)^r u) . (A^i v), so s - 1
+unmetered transposed products pack the rows (A^T)^r u, r < s, per
+coordinate, and each giant step gives the next s terms in one sum of
+big-by-small products instead of s dot products.  A projection u with at
+most one nonzero entry (det-gamma's e_1) takes each sequence term as one
+product.  Results and matvec counts are the same bit for bit, and the
 meter still charges each term the n multiplications and n - 1 additions
 of a dense dot product.
 """
@@ -53,31 +58,48 @@ class GeneratorPair:
 def wiedemann_sequence(op: LinearOp, u: list, v: list, length: int,
                        meter: CostMeter | None = None,
                        giants: list | None = None) -> list:
-    """(u^T A^i v) for i < length, using length-1 matvecs and length dots.
+    """(u^T A^i v) for i < length, using length-1 matvecs.
 
     A ``giants`` list receives A^i v for every i < min(length, n) that is a
-    multiple of isqrt(n).
+    multiple of s = isqrt(n).  From n >= _HGCD_MIN a u with two or more
+    nonzero entries takes no dot per term: slot r of q_k holds
+    ((A^T)^r u)_k for r < min(s, length), and u^T A^(i+r) v =
+    ((A^T)^r u) . (A^i v) reads s terms at once from sum_k (A^i v)_k q_k
+    at every s-th iterate.  The meter charges every term a dot product.
     """
     if length < 1:
         raise UsageError("sequence length must be >= 1")
-    if len(u) != op.n or len(v) != op.n:
+    n = op.n
+    if len(u) != n or len(v) != n:
         raise UsageError("projection dimension mismatch")
     p = op.field.p
     seq = []
     cur = list(v)
-    stride = isqrt(op.n)
+    stride = isqrt(n)
     nonzero = [j for j, c in enumerate(u) if c]
     j = nonzero[0] if nonzero else 0
+    block = min(stride, length) if len(nonzero) > 1 and n >= _HGCD_MIN else 0
+    if block:
+        w = _slot_bytes(p, n)
+        q = row = [c % p for c in u]
+        for r in range(1, block):
+            row = op.apply_transpose(row)
+            q = [a + (b << (8 * w * r)) for a, b in zip(q, row)]
     for i in range(length):
         if i:
             cur = matvec(op, cur, meter)
-        if giants is not None and i < op.n and i % stride == 0:
+        if giants is not None and i < n and i % stride == 0:
             giants.append(cur)
-        acc = sum(map(mul, u, cur)) if len(nonzero) > 1 else u[j] * cur[j]
         if meter is not None:
-            meter.mul += op.n
-            meter.add += op.n - 1
-        seq.append(acc % p)
+            meter.mul += n
+            meter.add += n - 1
+        if not block:
+            seq.append((sum(map(mul, u, cur)) if len(nonzero) > 1
+                        else u[j] * cur[j]) % p)
+        elif i % block == 0:
+            x = cur if i else [a % p for a in cur]
+            terms = _slots(sum(map(mul, x, q)), w, block)[:length - i]
+            seq += [c % p for c in terms]
     return seq
 
 

@@ -380,6 +380,30 @@ def test_entries_are_exact_ints(fbig):
 
 
 def test_non_integer_entries_rejected(f7):
-    for bad in ((0, 0, 1.5), (0.5, 0, 1), (0, 1.0, 1)):
+    for bad in ((0, 0, 1.5), (0.5, 0, 1), (0, 1.0, 1), (0, 0, "3"), ("0", 0, 1),
+                (0, 0, None), (0, 0), (0, 0, 1, 1)):
         with pytest.raises(UsageError):
             SparseMatrix(f7, 2, [bad])
+
+
+def test_empty_diagonal_rejected(f7):
+    with pytest.raises(UsageError, match="dimension"):
+        DiagonalMatrix(f7, [])
+
+
+def test_apply_transpose_matches_materialized_transpose():
+    # (x^T A)_j = x . (A e_j), for every operator and for x with entries
+    # that are negative and >= p; Gamma at n = 1 is the 1x1 matrix t + s.
+    p = PRIME_62_BIT
+    f = PrimeField(p)
+    rng = Random(17)
+    for n in (1, 2, 3, 10):
+        a = gen_sparse(f, n, 0.5, rng)
+        gamma = GammaMatrix(f, n, rng.randrange(p), rng.randrange(p))
+        diag = DiagonalMatrix(f, [rng.randrange(1, p) for _ in range(n)])
+        for op in (a, diag, gamma, ProductOp(a, gamma), ProductOp(diag, a),
+                   ShiftOp(rng.randrange(p), ProductOp(a, gamma))):
+            cols = [op.apply([int(i == j) for i in range(n)]) for j in range(n)]
+            x = [rng.randrange(p) + p * rng.choice([-1, 0, 2]) for _ in range(n)]
+            want = [sum(c * xi for c, xi in zip(col, x)) % p for col in cols]
+            assert op.apply_transpose(x) == want

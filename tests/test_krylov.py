@@ -11,7 +11,8 @@ from certilin import (BadShiftError, CostMeter, HonestProver, IntegrityError,
                       oracle_minpoly, poly_gcd, poly_lcm, residue_polynomial,
                       solve_shifted, wiedemann_sequence)
 from certilin import krylov
-from certilin.blackbox import matvec
+from certilin.blackbox import (DiagonalMatrix, GammaMatrix, ProductOp, ShiftOp,
+                               matvec)
 from certilin.harness import gen_sparse
 from certilin.oracle import dense_solve, vector_minpoly
 from certilin.polynomial import _HGCD_MIN, _pack
@@ -347,9 +348,16 @@ def test_residue_short_sequence_above_the_rule():
 
 
 def test_packing_starts_at_the_size_rule(monkeypatch):
-    calls = []
+    # The sequence of a dense u takes s - 1 transposed products and one
+    # packed product per s terms.
+    calls, slots, transposes = [], [], []
+    read, transpose = krylov._slots, SparseMatrix.apply_transpose
     monkeypatch.setattr(krylov, "_pack",
                         lambda c, w: calls.append(len(c)) or _pack(c, w))
+    monkeypatch.setattr(krylov, "_slots",
+                        lambda x, w, k: slots.append(k) or read(x, w, k))
+    monkeypatch.setattr(SparseMatrix, "apply_transpose",
+                        lambda a, x: transposes.append(1) or transpose(a, x))
     f = PrimeField(10**9 + 7)
     for d in (_HGCD_MIN - 1, _HGCD_MIN):
         residue_polynomial(Poly(f, [2] * d + [1]), [1] * d)
@@ -357,7 +365,13 @@ def test_packing_starts_at_the_size_rule(monkeypatch):
     for n in (_HGCD_MIN - 1, _HGCD_MIN):
         a = gen_sparse(f, n, 4 / n, Random(n))
         v = [1] * n
+        slots.clear()
+        transposes.clear()
         pair = minimal_generator_pair(a, v, v)
+        s = isqrt(n)
+        packed = n >= _HGCD_MIN
+        assert slots == ([s] * (2 * n // s) if packed else [])
+        assert len(transposes) == (s - 1 if packed else 0)
         calls.clear()
         r1 = next(r for r in range(2, 100) if pair.gen.eval(r))
         plain = solve_shifted(a, r1, v, pair.gen)
@@ -444,3 +458,55 @@ def test_sequence_unit_projections_match_dense_dot(n):
         for term in seq:
             assert term == sum(x * y for x, y in zip(u, cur)) % p
             cur = matvec(a, cur)
+
+
+def dense_dot_sequence(a, u, v, length):
+    """u^T A^i v by one dot per term, with the meter a dot per term charges."""
+    p, n = a.field.p, a.n
+    meter, cur, seq = CostMeter(), v, []
+    for i in range(length):
+        if i:
+            cur = matvec(a, cur, meter)
+        meter.mul += n
+        meter.add += n - 1
+        seq.append(sum(x * y for x, y in zip(u, cur)) % p)
+    return seq, meter
+
+
+@pytest.mark.parametrize("n", [_HGCD_MIN - 1, _HGCD_MIN, _HGCD_MIN + 1, 150])
+@pytest.mark.parametrize("p", [101, 10**9 + 7, 2**62 - 57])
+def test_sequence_packed_matches_dense_dot(n, p):
+    # From _HGCD_MIN up a dense u takes its terms s = isqrt(n) at a time from
+    # a packed block of (A^T)^r u; below it, one dot per term.  u and v have
+    # entries that are negative and >= p, or all negative, and v is still
+    # the first giant step as given.  Lengths: one term, fewer than s, not a
+    # multiple of s, and 2n; operators: sparse, and the products and shift
+    # the protocols build.
+    f = PrimeField(p)
+    rng = Random(n + p)
+    s = isqrt(n)
+    a = gen_sparse(f, n, 4 / n, rng)
+    ops = [a]
+    if n == 150:
+        diag = DiagonalMatrix(f, [rng.randrange(1, p) for _ in range(n)])
+        ops += [ProductOp(a, GammaMatrix(f, n, rng.randrange(p), rng.randrange(p))),
+                ProductOp(diag, a), ShiftOp(rng.randrange(p), a)]
+    for op, negative in [(op, neg) for op in ops for neg in (False, True)]:
+        if negative:
+            u = [rng.randrange(p) - 3 * p for _ in range(n)]
+            v = [rng.randrange(p) - 3 * p for _ in range(n)]
+        else:
+            u = [unreduced(rng, p) for _ in range(n)]
+            v = [unreduced(rng, p) for _ in range(n)]
+        for length in (1, s - 1, 2 * s + 3, 2 * n):
+            meter, giants = CostMeter(), []
+            seq = wiedemann_sequence(op, u, v, length, meter, giants)
+            want, want_meter = dense_dot_sequence(op, u, v, length)
+            assert seq == want and meter == want_meter
+            assert len(giants) == len(range(0, min(length, n), s))
+            cur = v
+            for i in range(0, min(length, n)):
+                if i % s == 0:
+                    assert giants[i // s] == cur
+                cur = matvec(op, cur)
+

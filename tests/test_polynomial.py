@@ -390,6 +390,37 @@ def test_xgcd_bezout_and_tight_bounds(pair):
         assert s.degree < (b // g).degree
 
 
+@pytest.mark.parametrize("degree", [_HGCD_MIN, _HGCD_MIN + 1, 100, 200, 800])
+@pytest.mark.parametrize("common", [0, 1, 30])
+def test_xgcd_tail_from_an_identity_row(degree, common, monkeypatch):
+    # Above _HGCD_MIN coefficients xgcd's remainders below the rule run on
+    # their own, from an identity row, and meet the long cofactors in one
+    # matrix product.  Coprime pairs and pairs with a common factor of
+    # degree 1 or 30, against the classical loop, with the tight bounds.
+    import certilin.polynomial as polynomial
+    calls = []
+    euclid = polynomial._euclid
+
+    def counted(a, b, p, *args):
+        calls.append((len(a), args))
+        return euclid(a, b, p, *args)
+
+    monkeypatch.setattr(polynomial, "_euclid", counted)
+    f = PrimeField(10**9 + 7)
+    rng = Random(degree + common)
+    g = random_poly(f, rng, common).monic()
+    a = random_poly(f, rng, degree - common) * g
+    b = random_poly(f, rng, degree - 1 - common) * g
+    got = xgcd(a, b)
+    assert got == reference_xgcd(a, b)
+    assert got[0] == g
+    s, t = got[1], got[2]
+    assert s * a + t * b == g
+    assert s.degree < (b // g).degree and t.degree < (a // g).degree
+    assert calls[0] == (degree + 1, ())
+    assert len(calls) == 2 and calls[1][0] <= _HGCD_MIN and calls[1][1] == ()
+
+
 @st.composite
 def gcd_pairs(draw):
     a, b = draw(euclid_pairs())
