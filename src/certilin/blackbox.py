@@ -142,7 +142,7 @@ class SparseMatrix(LinearOp):
                     raise UsageError(f"entry ({i},{j}) out of range for n={n}")
                 acc[(i, j)] = (acc.get((i, j), 0) + v) % p
         except (TypeError, ValueError):
-            raise UsageError("matrix entries must be integer triples (i, j, v)") from None
+            raise UsageError("matrix entries must be integer triples") from None
         self.field = field
         self.n = n
         self.entries = tuple(sorted((i, j, v) for (i, j), v in acc.items() if v))

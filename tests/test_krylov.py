@@ -505,8 +505,7 @@ def test_sequence_packed_matches_dense_dot(n, p):
             assert seq == want and meter == want_meter
             assert len(giants) == len(range(0, min(length, n), s))
             cur = v
-            for i in range(0, min(length, n)):
+            for i in range(min(length, n)):
                 if i % s == 0:
                     assert giants[i // s] == cur
                 cur = matvec(op, cur)
-
