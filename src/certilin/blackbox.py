@@ -42,10 +42,15 @@ class LinearOp:
     n: int
 
     def apply(self, x: list, meter: CostMeter | None = None) -> list:
+        """A x, in any representatives mod p."""
         raise NotImplementedError
 
     def apply_transpose(self, x: list) -> list:
-        """x^T A, reduced mod p; unmetered."""
+        """x^T A, reduced mod p; unmetered.
+
+        The prover's Krylov pass needs it from n >= 64 with a projection of
+        two or more nonzero entries (``krylov.wiedemann_sequence``).
+        """
         raise NotImplementedError
 
     def matvec_cost(self) -> int:

@@ -65,7 +65,11 @@ def wiedemann_sequence(op: LinearOp, u: list, v: list, length: int,
     nonzero entries takes no dot per term: slot r of q_k holds
     ((A^T)^r u)_k for r < min(s, length), and u^T A^(i+r) v =
     ((A^T)^r u) . (A^i v) reads s terms at once from sum_k (A^i v)_k q_k
-    at every s-th iterate.  The meter charges every term a dot product.
+    at every s-th iterate; the iterate is reduced first, the rows come
+    reduced from ``apply_transpose``.  Below the rule the dots stay: the
+    packed path takes 1.2-1.4x their time at n = 10 and breaks even
+    between n = 25 and 56 (``micro`` in BENCH_packed-projections.json).
+    The meter charges every term a dot product.
     """
     if length < 1:
         raise UsageError("sequence length must be >= 1")
@@ -97,7 +101,7 @@ def wiedemann_sequence(op: LinearOp, u: list, v: list, length: int,
             seq.append((sum(map(mul, u, cur)) if len(nonzero) > 1
                         else u[j] * cur[j]) % p)
         elif i % block == 0:
-            x = cur if i else [a % p for a in cur]
+            x = [a % p for a in cur]
             terms = _slots(sum(map(mul, x, q)), w, block)[:length - i]
             seq += [c % p for c in terms]
     return seq

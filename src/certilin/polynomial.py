@@ -372,30 +372,22 @@ def _jump(row: tuple, k: int, p: int) -> tuple:
     return row
 
 
-def _euclid(a: list, b: list, p: int, more=None, floor: int = 0) -> tuple:
+def _euclid(a: list, b: list, p: int, more, floor: int = 0) -> tuple:
     """Euclid's rows on canonical lists a and b for as long as more(r1, t1).
 
     Returns the first row (r0, r1, s0, s1, t0, t1) whose r1 and t1 fail
     ``more``.  Rows with a second remainder of degree at least ``floor``
     may be passed by half-gcd jumps, so ``more`` must hold on them all.
-    Without ``more`` the rows run to a zero remainder.  That rule reads the
-    remainders alone, so once the half-gcd has brought them down to
-    _HGCD_MIN coefficients, the classical tail runs on them from an
-    identity row and meets the long cofactors in one matrix product.
     """
-    go = more or (lambda r, t: r)
     row = (a, b, [1], [], [], [1])
-    while len(row[0]) > _HGCD_MIN and go(row[1], row[5]):
+    while len(row[0]) > _HGCD_MIN and more(row[1], row[5]):
         n0, n1 = len(row[0]), len(row[1])
         target = max(n0 // 2, floor)
         if n0 > n1 > target:
             row = _jump(row, 2 * target + 1 - n0, p)
         else:
             row = _step(*row, p)
-    if more is None and row[1] and len(row[0]) < len(a):
-        x, y, h00, h10, h01, h11 = _euclid(row[0], row[1], p)
-        return (x, y, *_mat_mul((h00, h01, h10, h11), [row[2:4], row[4:]], p))
-    while go(row[1], row[5]):
+    while more(row[1], row[5]):
         row = _step(*row, p)
     return row
 
@@ -410,7 +402,14 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     if a.is_zero() and b.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
     p = f.p
-    r0, _, s0, _, t0, _ = _euclid(list(a.coeffs), list(b.coeffs), p)
+    a, b = list(a.coeffs), list(b.coeffs)
+    # The half-gcd takes the remainders down to _HGCD_MIN coefficients; the
+    # classical tail runs on them from an identity row, and its 2x2 matrix
+    # meets the long cofactors in one product.
+    r0, r1, *cof = _euclid(a, b, p, lambda r, t: len(r) > _HGCD_MIN, _HGCD_MIN)
+    r0, _, s0, s1, t0, t1 = _euclid(r0, r1, p, lambda r, t: r)
+    if cof != [[1], [], [], [1]]:
+        s0, _, t0, _ = _mat_mul((s0, t0, s1, t1), [cof[:2], cof[2:]], p)
     lead = r0[-1]
     if lead != 1:
         k = pow(lead, -1, p)

@@ -11,8 +11,8 @@ from certilin import (BadShiftError, CostMeter, HonestProver, IntegrityError,
                       oracle_minpoly, poly_gcd, poly_lcm, residue_polynomial,
                       solve_shifted, wiedemann_sequence)
 from certilin import krylov
-from certilin.blackbox import (DiagonalMatrix, GammaMatrix, ProductOp, ShiftOp,
-                               matvec)
+from certilin.blackbox import (DiagonalMatrix, GammaMatrix, LinearOp, ProductOp,
+                               ShiftOp, matvec)
 from certilin.harness import gen_sparse
 from certilin.oracle import dense_solve, vector_minpoly
 from certilin.polynomial import _HGCD_MIN, _pack
@@ -509,3 +509,44 @@ def test_sequence_packed_matches_dense_dot(n, p):
                 if i % s == 0:
                     assert giants[i // s] == cur
                 cur = matvec(op, cur)
+
+
+class OffsetOp(LinearOp):
+    """A sparse matrix whose apply returns residues shifted by -p or +p."""
+
+    def __init__(self, inner, shift):
+        self.field, self.n, self.inner, self.shift = inner.field, inner.n, inner, shift
+
+    def apply(self, x, meter=None):
+        return [y + self.shift for y in self.inner.apply(x, meter)]
+
+    def apply_transpose(self, x):
+        return self.inner.apply_transpose(x)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_sequence_packed_with_unreduced_apply(shift):
+    # An operator's apply may return any representatives: the packed path
+    # reduces every iterate it reads, as the dots do.
+    p, n = 10**9 + 7, _HGCD_MIN + 6
+    f = PrimeField(p)
+    rng = Random(shift)
+    op = OffsetOp(gen_sparse(f, n, 4 / n, rng), shift * p)
+    u = [rng.randrange(p) for _ in range(n)]
+    v = [rng.randrange(p) for _ in range(n)]
+    assert wiedemann_sequence(op, u, v, 2 * n) == dense_dot_sequence(op, u, v, 2 * n)[0]
+
+
+def test_sequence_packed_needs_apply_transpose():
+    # From _HGCD_MIN up the prover's pass with a dense u uses x^T A.
+    f = PrimeField(101)
+    n = _HGCD_MIN
+
+    class ApplyOnly(OffsetOp):
+        apply_transpose = LinearOp.apply_transpose
+
+    op = ApplyOnly(gen_sparse(f, n, 4 / n, Random(1)), 0)
+    v = [1] * n
+    assert len(wiedemann_sequence(op, [1] + [0] * (n - 1), v, 2 * n)) == 2 * n
+    with pytest.raises(NotImplementedError):
+        wiedemann_sequence(op, [1] * n, v, 2 * n)

@@ -393,17 +393,18 @@ def test_xgcd_bezout_and_tight_bounds(pair):
 @pytest.mark.parametrize("degree", [_HGCD_MIN, _HGCD_MIN + 1, 100, 200, 800])
 @pytest.mark.parametrize("common", [0, 1, 30])
 def test_xgcd_tail_from_an_identity_row(degree, common, monkeypatch):
-    # Above _HGCD_MIN coefficients xgcd's remainders below the rule run on
-    # their own, from an identity row, and meet the long cofactors in one
-    # matrix product.  Coprime pairs and pairs with a common factor of
-    # degree 1 or 30, against the classical loop, with the tight bounds.
+    # xgcd stops the half-gcd once the second remainder has at most
+    # _HGCD_MIN coefficients; the rest runs on the remainders alone, from an
+    # identity row, and meets the long cofactors in one matrix product.
+    # Coprime pairs and pairs with a common factor of degree 1 or 30,
+    # against the classical loop, with the tight bounds.
     import certilin.polynomial as polynomial
     calls = []
     euclid = polynomial._euclid
 
-    def counted(a, b, p, *args):
-        calls.append((len(a), args))
-        return euclid(a, b, p, *args)
+    def counted(a, b, p, more, *args):
+        calls.append((len(a), len(b), args))
+        return euclid(a, b, p, more, *args)
 
     monkeypatch.setattr(polynomial, "_euclid", counted)
     f = PrimeField(10**9 + 7)
@@ -417,8 +418,10 @@ def test_xgcd_tail_from_an_identity_row(degree, common, monkeypatch):
     s, t = got[1], got[2]
     assert s * a + t * b == g
     assert s.degree < (b // g).degree and t.degree < (a // g).degree
-    assert calls[0] == (degree + 1, ())
-    assert len(calls) == 2 and calls[1][0] <= _HGCD_MIN and calls[1][1] == ()
+    assert calls[0] == (degree + 1, degree, (_HGCD_MIN,))
+    assert len(calls) == 2 and calls[1][1] <= _HGCD_MIN and calls[1][2] == ()
+    # A pair already at the rule goes to the tail as it is.
+    assert (calls[1][0] < degree + 1) == (degree > _HGCD_MIN)
 
 
 @st.composite
