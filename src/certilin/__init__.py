@@ -12,8 +12,9 @@ from .blackbox import (DiagonalMatrix, GammaMatrix, LinearOp, ProductOp,
                        matrix_digest, matvec, parse_sms)
 from .challenges import FiatShamirChallenges, RandomChallenges
 from .errors import (BadShiftError, CertilinError, ConfigError, DomainError,
-                     FieldTooSmallError, IntegrityError, OracleCapError,
-                     ParseError, ProtocolInternalError, UsageError)
+                     FieldTooSmallError, IntegrityError, MatrixMismatchError,
+                     OracleCapError, ParseError, ProtocolInternalError,
+                     UsageError)
 from .field import PrimeField, is_prime
 from .krylov import (GeneratorPair, minimal_generator_pair,
                      residue_polynomial, solve_shifted, wiedemann_sequence)

@@ -259,15 +259,6 @@ class GammaMatrix(LinearOp):
     def matvec_cost(self) -> int:
         return 2 * self.n + 1
 
-    def to_dense(self) -> list:
-        rows = [[0] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            rows[i][i] = self.t
-            if i + 1 < self.n:
-                rows[i][i + 1] = (-1) % self.field.p
-        rows[self.n - 1][0] = (rows[self.n - 1][0] + self.s) % self.field.p
-        return rows
-
 
 def gamma_det(g: GammaMatrix, meter: CostMeter | None = None) -> int:
     """t**n + s, metered as square-and-multiply would spend it."""

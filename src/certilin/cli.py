@@ -16,8 +16,9 @@ import argparse
 import sys
 from random import Random
 
-from .blackbox import emit_sms, matrix_digest, parse_sms
-from .errors import CertilinError, FieldTooSmallError, ParseError, UsageError
+from .blackbox import emit_sms, parse_sms
+from .errors import (CertilinError, FieldTooSmallError, MatrixMismatchError,
+                     ParseError, UsageError)
 from .field import PrimeField
 from .harness import (PROTOCOL_CHOICES, gen_sparse, run_attack, run_bench,
                       run_selftest, sample_projections, subseed)
@@ -119,10 +120,6 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     a = _load_matrix(args.matrix)
     transcript = parse_transcript(_read_text(args.transcript))
-    if (transcript.p != a.field.p or transcript.n != a.n
-            or transcript.matrix_digest != matrix_digest(a)):
-        print("error: transcript does not match matrix", file=sys.stderr)
-        return EXIT_MATRIX_MISMATCH
     outcome, vm = verify_noninteractive(transcript, a)
     transcript.verifier_meter = vm
     rep = _Report(args.format)
@@ -262,6 +259,9 @@ def main(argv=None) -> int:
     except FieldTooSmallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIELD_TOO_SMALL
+    except MatrixMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MATRIX_MISMATCH
     except (OSError, CertilinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

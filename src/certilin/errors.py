@@ -35,6 +35,10 @@ class ParseError(CertilinError):
         super().__init__(f"line {line}: {message}")
 
 
+class MatrixMismatchError(UsageError):
+    """A transcript's header names another matrix (modulus, dimension or digest)."""
+
+
 class OracleCapError(UsageError):
     """Dense oracle requested above the configured dimension cap."""
 

@@ -105,8 +105,7 @@ def run_protocol(protocol: str, a: SparseMatrix, prover, challenge_rng,
     """
     if perfectly_complete and protocol == "minpoly":
         protocol = "minpoly-pc"
-    return _dispatch(protocol, a, prover, None, RandomChallenges(challenge_rng),
-                     u, v)
+    return _dispatch(protocol, a, prover, RandomChallenges(challenge_rng), u, v)
 
 
 def sample_projections(protocol: str, field: PrimeField, n: int, rng: Random) -> dict:

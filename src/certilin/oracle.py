@@ -1,4 +1,4 @@
-"""Dense ground-truth oracles for testing and desk-scale prover work.
+"""Dense ground-truth oracles for the provers, the harness and the selftest.
 
 Everything here is exact O(n^3)-ish elimination over Z_p, capped at a
 configurable dimension (default 64, overridable through the
@@ -120,33 +120,6 @@ def _first_dependency(field: PrimeField, vectors):
     return None
 
 
-def dense_solve(rows: list, b: list, field: PrimeField):
-    """One solution of A x = b by Gauss-Jordan, or None if inconsistent."""
-    p = field.p
-    n = len(rows)
-    m = [rows[i][:] + [b[i] % p] for i in range(n)]
-    pivots = []
-    for col in range(n):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, n) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[piv], m[rank] = m[rank], m[piv]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [v * inv % p for v in m[rank]]
-        for r in range(n):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * c) % p for a, c in zip(m[r], m[rank])]
-        pivots.append(col)
-    if any(m[r][n] for r in range(len(pivots), n)):
-        return None
-    x = [0] * n
-    for r, col in enumerate(pivots):
-        x[col] = m[r][n]
-    return x
-
-
 def dense_kernel(rows: list, field: PrimeField):
     """A nonzero kernel vector, or None when the matrix is nonsingular.
 
@@ -239,11 +212,6 @@ def oracle_minpoly(a) -> Poly:
             f = poly_lcm(f, _krylov_minpoly(rows, a.field, e))
         return f
     return _cached(a, "minpoly", compute)
-
-
-def vector_minpoly(a, v: list) -> Poly:
-    """Minimal annihilator of the Krylov stream v, A v, A^2 v, ..."""
-    return _krylov_minpoly(materialize(a), a.field, v)
 
 
 def oracle_kernel(a):

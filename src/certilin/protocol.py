@@ -35,7 +35,7 @@ from random import Random
 from .blackbox import (DiagonalMatrix, GammaMatrix, ProductOp, ShiftOp,
                        SparseMatrix, gamma_det, matrix_digest, matvec)
 from .challenges import FiatShamirChallenges, RandomChallenges
-from .errors import FieldTooSmallError, UsageError
+from .errors import FieldTooSmallError, MatrixMismatchError, UsageError
 from .field import dot, scale_sub
 from .messages import (Accept, BadChallenge, Bezout, Commitment,
                        DiagonalAnnounce, GammaAnnounce, PointChallenge,
@@ -631,7 +631,7 @@ def certify_charpoly(a, prover=None, rng=None, *, challenges=None):
     return _execute("charpoly", a, *_resolve(a, prover, rng, challenges))
 
 
-def _dispatch(protocol_id, a, prover, rng, challenges, u=None, v=None):
+def _dispatch(protocol_id, a, prover, challenges, u=None, v=None):
     """Run the named protocol through its public ``certify_*`` entry point.
 
     The entry point is looked up by its module-level name at call time, so
@@ -642,31 +642,31 @@ def _dispatch(protocol_id, a, prover, rng, challenges, u=None, v=None):
     options = dict(spec.options, challenges=challenges)
     certify = globals()[spec.certify]
     if spec.projections:
-        return certify(a, u, v, prover, rng, **options)
-    return certify(a, prover, rng, **options)
+        return certify(a, u, v, prover, **options)
+    return certify(a, prover, **options)
 
 
-def fiat_shamir(protocol_id, a, prover=None, rng=None, *, u=None, v=None):
+def fiat_shamir(protocol_id, a, prover, *, u=None, v=None):
     """Run the named protocol non-interactively; returns (Transcript, Outcome).
 
-    The prover's own randomness still comes from ``rng``; every verifier
-    challenge is derived by hashing the canonical session bytes.
+    The prover keeps its own randomness; every verifier challenge is
+    derived by hashing the canonical session bytes.
     """
-    return _dispatch(protocol_id, a, prover, rng, FiatShamirChallenges(), u, v)
+    return _dispatch(protocol_id, a, prover, FiatShamirChallenges(), u, v)
 
 
 def verify_noninteractive(transcript: Transcript, a: SparseMatrix):
     """Replay a Fiat-Shamir transcript; returns (Outcome, verifier meter).
 
-    Raises UsageError when the transcript header does not match the given
-    matrix (dimension, modulus or digest).
+    Raises MatrixMismatchError when the transcript header does not match
+    the given matrix (modulus, dimension or digest).
     """
     if transcript.p != a.field.p:
-        raise UsageError("transcript modulus does not match the matrix")
+        raise MatrixMismatchError("transcript modulus does not match the matrix")
     if transcript.n != a.n:
-        raise UsageError("transcript dimension does not match the matrix")
+        raise MatrixMismatchError("transcript dimension does not match the matrix")
     if transcript.matrix_digest != matrix_digest(a):
-        raise UsageError("transcript digest does not match the matrix")
+        raise MatrixMismatchError("transcript digest does not match the matrix")
     pid = transcript.protocol_id
     require_field_size(pid, a.n, a.field.p)
     run = _Run(pid, a.field, a.n, transcript.matrix_digest,
@@ -711,13 +711,17 @@ def budget_report(transcript: Transcript, a: SparseMatrix) -> BudgetReport:
     """Check a session's meters against the protocol's stated budget.
 
     mu is the cost of applying the public matrix once (2 nnz for sparse).
+    ``sent`` sums the wire cost of the prover's messages, so a parsed
+    transcript, whose prover meter is empty, counts what the live session
+    charged.
     """
     n = transcript.n
     mu = a.matvec_cost()
     pid = transcript.protocol_id
     spec = protocol_spec(pid)
     log_term = 4 * max(1, math.ceil(math.log2(n))) if n > 1 else 4
-    sent = transcript.prover_meter.elements_sent
+    sent = sum(wire_cost(m) for role, m in transcript.messages
+               if role == "prover")
     if spec.generator_unsent:
         commit = next((m for role, m in transcript.messages
                        if role == "prover" and isinstance(m, Commitment)), None)

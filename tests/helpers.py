@@ -1,6 +1,9 @@
-"""Test-only helpers: an identity matrix and a scripted challenge source."""
+"""Test-only helpers: an identity matrix, a scripted challenge source, and
+two dense references (a linear solve and a vector's Krylov annihilator)
+that no library path runs."""
 
 from certilin import SparseMatrix
+from certilin.oracle import _krylov_minpoly, materialize
 
 
 def identity_matrix(field, n):
@@ -19,3 +22,35 @@ class ScriptedChallenges:
         if self.script:
             return field.check(self.script.pop(0))
         return self.fallback.draw(field, material)
+
+
+def dense_solve(rows, b, field):
+    """One solution of A x = b by Gauss-Jordan, or None if inconsistent."""
+    p = field.p
+    n = len(rows)
+    m = [rows[i][:] + [b[i] % p] for i in range(n)]
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, n) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[piv], m[rank] = m[rank], m[piv]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [v * inv % p for v in m[rank]]
+        for r in range(n):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(a - f * c) % p for a, c in zip(m[r], m[rank])]
+        pivots.append(col)
+    if any(m[r][n] for r in range(len(pivots), n)):
+        return None
+    x = [0] * n
+    for r, col in enumerate(pivots):
+        x[col] = m[r][n]
+    return x
+
+
+def vector_minpoly(a, v):
+    """Minimal annihilator of the Krylov stream v, A v, A^2 v, ..."""
+    return _krylov_minpoly(materialize(a), a.field, v)

@@ -35,8 +35,10 @@ from certilin.harness import (_corrupt_payload_byte, gen_nonsingular,
                               gen_sparse, random_nonsingular_dense_checked,
                               run_attack, run_completeness, subseed,
                               three_sigma)
-from certilin.oracle import vector_minpoly
+from certilin.oracle import materialize
 from certilin.protocol import budget_report, fiat_shamir
+
+from helpers import vector_minpoly
 
 P_BIG = 1_000_003
 FIELD = PrimeField(P_BIG)
@@ -289,7 +291,7 @@ def test_criterion_8_gamma_det_and_residuals():
     for n in range(1, 9):
         for _ in range(30):
             g = GammaMatrix(FIELD, n, t=FIELD.sample(rng), s=FIELD.sample(rng))
-            assert gamma_det(g) == dense_det(g.to_dense(), FIELD)
+            assert gamma_det(g) == dense_det(materialize(g), FIELD)
     count = 0
     while count < 200:
         n = rng.randrange(2, 11)

@@ -151,6 +151,21 @@ def test_verify_wrong_matrix_is_65(tmp_path, matrix_file):
     assert code == 65
 
 
+@pytest.mark.parametrize("n, p, field", [(10, 1000003, "digest"),
+                                         (9, 1000003, "dimension"),
+                                         (10, 1000033, "modulus")])
+def test_verify_mismatch_names_the_header_field(tmp_path, matrix_file, n, p,
+                                                field):
+    # The library's MatrixMismatchError sets the exit code and the message.
+    transcript = tmp_path / "t.txt"
+    run_cli("prove", "--protocol", "det-gamma", "--matrix", str(matrix_file),
+            "--transcript", str(transcript), "--seed", "2")
+    code, out, err = run_cli("verify", "--transcript", str(transcript),
+                             "--matrix", str(identity_file(tmp_path, n, p)))
+    assert (code, out) == (65, "")
+    assert err == f"error: transcript {field} does not match the matrix\n"
+
+
 def test_prove_all_protocols(tmp_path, matrix_file):
     for protocol in ("fauv", "minpoly", "det-diag", "det-gamma",
                      "det-simple", "charpoly"):

@@ -14,11 +14,10 @@ from certilin import krylov
 from certilin.blackbox import (DiagonalMatrix, GammaMatrix, LinearOp, ProductOp,
                                ShiftOp, matvec)
 from certilin.harness import gen_sparse
-from certilin.oracle import dense_solve, vector_minpoly
 from certilin.polynomial import _HGCD_MIN, _pack
 
 from conftest import PRIME_BIG
-from helpers import identity_matrix
+from helpers import dense_solve, identity_matrix, vector_minpoly
 
 
 def P(field, *coeffs):

@@ -9,11 +9,10 @@ from certilin import (IntegrityError, OracleCapError, Poly, PrimeField,
                       oracle_minpoly)
 from certilin import oracle
 from certilin.blackbox import matvec
-from certilin.oracle import (_interpolate, dense_solve, materialize,
-                             vector_minpoly)
+from certilin.oracle import _interpolate, materialize
 from certilin.harness import gen_sparse
 
-from helpers import identity_matrix
+from helpers import dense_solve, identity_matrix, vector_minpoly
 
 
 def P(field, *coeffs):

@@ -6,12 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from certilin import (Accept, BadChallenge, FieldTooSmallError,
                       GammaMatrix, GeneratorPair, HonestProver, Poly,
-                      PrimeField, ProductOp, Reject, SingularResult,
-                      SparseMatrix, UsageError, budget_report,
+                      PrimeField, ProductOp, ProtocolInternalError, Reject,
+                      SingularResult, SparseMatrix, UsageError, budget_report,
                       certify_charpoly, certify_det_diag, certify_det_gamma,
                       certify_det_simple, certify_generator, certify_minpoly,
-                      field_size_bound, oracle_charpoly, oracle_det,
-                      oracle_minpoly)
+                      fiat_shamir, field_size_bound, oracle_charpoly,
+                      oracle_det, oracle_minpoly)
 from certilin.challenges import RandomChallenges
 from certilin.harness import (gen_singular, gen_sparse,
                               random_nonsingular_dense_checked, run_protocol)
@@ -19,7 +19,7 @@ from certilin.oracle import dense_charpoly, materialize
 from certilin.protocol import PROTOCOL_IDS
 from certilin.provers import WrongClaimProver
 
-from helpers import ScriptedChallenges, identity_matrix
+from helpers import ScriptedChallenges, dense_solve, identity_matrix
 
 
 def P(field, *coeffs):
@@ -200,6 +200,20 @@ def test_det_singular_witness(fbig):
         assert kinds == ["witness"]
 
 
+@pytest.mark.xfail(strict=True, raises=ProtocolInternalError,
+                   reason="ROADMAP item 4: no singularity witness above the "
+                          "dense-oracle cap")
+def test_det_gamma_singular_above_cap():
+    # A singular matrix (one zero row) one past the dense-oracle cap: the
+    # honest det-gamma prover exhausts its preconditioner draws instead of
+    # sending a singularity witness.  det-diag returns Accept(0) on it.
+    field = PrimeField(10**9 + 7)
+    a = gen_sparse(field, 65, 6 / 65, Random("65:1000000007:0"))
+    prover = HonestProver(field, Random("det-gamma:0"))
+    _, outcome = fiat_shamir("det-gamma", a, prover)
+    assert outcome == Accept(SingularResult())
+
+
 def test_det_simple(f101, fbig):
     _, outcome = certify_det_simple(identity_matrix(f101, 2), rng=1)
     assert outcome == Accept(1)
@@ -248,7 +262,6 @@ def test_simple_solution_at_a_root_of_the_true_chi_is_none(f101):
     # (BadChallenge), not a dense solution.
     from certilin import adversarial_prover
     from certilin.harness import gen_nonsingular
-    from certilin.oracle import dense_solve
     n = 3
     a = gen_nonsingular(f101, n, Random(130), 0.6)
     prover = adversarial_prover("singular_denial")(f101, Random(130))

@@ -6,13 +6,15 @@ from random import Random
 import pytest
 
 from certilin import (Accept, Bezout, Commitment, CostMeter, HonestProver,
-                      ParseError, PointChallenge, Poly, Projection, Reject,
-                      SingularityWitness, Solution, UsageError, budget_report,
-                      certify_det_gamma, fiat_shamir, parse_transcript,
+                      ParseError, PointChallenge, Poly, PrimeField,
+                      Projection, Reject, SingularityWitness, Solution,
+                      UsageError, budget_report, certify_det_gamma,
+                      fiat_shamir, oracle_det, parse_transcript,
                       verify_noninteractive)
 from certilin.harness import (_corrupt_payload_byte, gen_nonsingular,
-                              gen_singular, random_nonsingular_dense_checked,
-                              run_protocol)
+                              gen_singular, gen_sparse,
+                              random_nonsingular_dense_checked, run_protocol,
+                              sample_projections)
 from certilin.messages import (DiagonalAnnounce, GammaAnnounce,
                                SecondaryProjection, message_bytes,
                                render_message, render_outcome, wire_cost)
@@ -108,6 +110,47 @@ def test_fs_transcript_pinned_at_n150(fbig, protocol, digest, field_ops):
     assert hashlib.sha256(transcript.render().encode()).hexdigest() == digest
     assert transcript.prover_meter.matvec == 2 * n - 1 + isqrt(n)
     assert transcript.prover_meter.field_ops == field_ops
+
+
+def _size_rule_corpus():
+    """Fiat-Shamir sessions on both sides of every kernel's size rule.
+
+    The packed sequence, residue and solve, BM's half-gcd and xgcd's tail
+    switch on at n = 64 (``polynomial._HGCD_MIN``); the corpus runs each
+    protocol at n = 63, 64 and 65, at 10 and 100 around them, and in three
+    fields, with the singularity witness on two singular matrices.  The
+    perfectly complete variant, whose prover runs the dense oracle, runs at
+    n = 10 and 64 only.
+    """
+    for p in (10**6 + 3, 10**9 + 7, 2**62 - 57):
+        field = PrimeField(p)
+        for n in (10, 63, 64, 65, 100):
+            a = gen_nonsingular(field, n, Random(f"{n}:{p}"), 5 / n)
+            for protocol in ("fauv", "minpoly", "det-diag", "det-gamma",
+                             "minpoly-pc"):
+                if protocol == "minpoly-pc" and n not in (10, 64):
+                    continue
+                rng = Random(f"{protocol}:{n}:{p}")
+                kw = sample_projections(protocol, field, n, rng)
+                yield fiat_shamir(protocol, a, HonestProver(field, rng), **kw)
+    field = PrimeField(10**9 + 7)
+    for seed in (0, 1):
+        rng = Random(seed)
+        while oracle_det(a := gen_sparse(field, 12, 0.15, rng)) != 0:
+            pass
+        for protocol in ("minpoly", "minpoly-pc", "det-diag", "det-gamma"):
+            yield fiat_shamir(protocol, a, HonestProver(field, Random(seed)))
+
+
+def test_size_rule_corpus_pinned():
+    # One sha256 over the rendered transcripts and prover meters of the
+    # corpus: a kernel whose two sides of a size rule stop agreeing changes
+    # some transcript byte or some metered count here.
+    h = hashlib.sha256()
+    for transcript, _ in _size_rule_corpus():
+        h.update(f"{transcript.render()}{transcript.prover_meter}\n".encode())
+    assert h.hexdigest() == (
+        "dd6ee47fd6457cff33ef6811b9b715dc3bf96d2a0b19d469bb14708e14a37975")
 
 
 def test_interactive_dense_prover_sessions_pinned(fbig):
@@ -257,6 +300,20 @@ def test_verify_wrong_matrix_raises(matrix, fbig):
     other = identity_matrix(fbig, matrix.n)
     with pytest.raises(UsageError):
         verify_noninteractive(transcript, other)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_IDS)
+def test_budget_report_same_on_replay(fbig, matrix, protocol):
+    # A replayed transcript carries no prover meter: the communication count
+    # comes from the prover's messages, as the live session charged them.
+    for a in (matrix, gen_singular(fbig, 6, Random(9))):
+        kw = sample_projections(protocol, fbig, a.n, Random(3))
+        transcript, _ = fs_session(a, protocol, **kw)
+        parsed = parse_transcript(transcript.render())
+        _, meter = verify_noninteractive(parsed, a)
+        replayed = budget_report(replace(parsed, verifier_meter=meter), a)
+        # The prover's own draws never cross the wire, so a replay has none.
+        assert replayed == replace(budget_report(transcript, a), prover_draws=0)
 
 
 def test_parse_transcript_strictness(matrix):
