@@ -266,8 +266,9 @@ class Transcript:
     matrix_digest: str
     messages: list = dc_field(default_factory=list)  # (role, message)
     outcome: object = None
-    verifier_meter: CostMeter = dc_field(default_factory=CostMeter)
-    prover_meter: CostMeter = dc_field(default_factory=CostMeter)
+    # A live session's meters; a parsed transcript has none.
+    verifier_meter: CostMeter | None = None
+    prover_meter: CostMeter | None = None
 
     def header_line(self) -> str:
         return (f"{TRANSCRIPT_MAGIC} {self.protocol_id} n={self.n} "

@@ -30,11 +30,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from random import Random
 
 from .blackbox import (DiagonalMatrix, GammaMatrix, ProductOp, ShiftOp,
                        SparseMatrix, gamma_det, matrix_digest, matvec)
-from .challenges import FiatShamirChallenges, RandomChallenges
+from .challenges import FiatShamirChallenges
 from .errors import FieldTooSmallError, MatrixMismatchError, UsageError
 from .field import dot, scale_sub
 from .messages import (Accept, BadChallenge, Bezout, Commitment,
@@ -44,7 +43,7 @@ from .messages import (Accept, BadChallenge, Bezout, Commitment,
                        Transcript, header_bytes, message_bytes, wire_cost)
 from .meter import CostMeter
 from .polynomial import Poly, poly_gcd
-from .provers import HonestProver, WrongClaimProver
+from .provers import WrongClaimProver
 
 def field_size_bound(protocol_id: str, n: int) -> int:
     """Minimal field size required for the protocol's soundness analysis."""
@@ -556,18 +555,6 @@ def protocol_spec(protocol_id: str) -> ProtocolSpec:
 # -- public entry points ------------------------------------------------------
 
 
-def _resolve(a, prover, rng, challenges):
-    if not isinstance(a, SparseMatrix):
-        raise UsageError("protocols take the public matrix in sparse form")
-    if isinstance(rng, int):
-        rng = Random(rng)
-    if prover is None:
-        prover = HonestProver(a.field, rng if rng is not None else Random(0))
-    if challenges is None:
-        challenges = RandomChallenges(rng) if rng is not None else FiatShamirChallenges()
-    return prover, challenges
-
-
 def _play(protocol_id, run, a, prover=None, u=None, v=None):
     """Run the protocol's flow and turn its signals into an outcome."""
     spec = _PROTOCOLS[protocol_id]
@@ -590,10 +577,8 @@ def _execute(protocol_id, a, prover, challenges, u=None, v=None):
     return transcript, outcome
 
 
-def certify_generator(a, u, v, prover=None, rng=None, *, merged=False,
-                      challenges=None):
+def certify_generator(a, u, v, prover, *, merged=False, challenges):
     """Certificate for the minimal generator of (u^T A^i v)."""
-    prover, challenges = _resolve(a, prover, rng, challenges)
     if u is None or v is None:
         raise UsageError("fauv protocols need explicit projections")
     u = a.field.check_vector(u)
@@ -604,31 +589,30 @@ def certify_generator(a, u, v, prover=None, rng=None, *, merged=False,
                     u, v)
 
 
-def certify_minpoly(a, prover=None, rng=None, *, perfectly_complete=False,
-                    challenges=None):
+def certify_minpoly(a, prover, *, perfectly_complete=False, challenges):
     """Certificate for the minimal polynomial under random projections."""
     return _execute("minpoly-pc" if perfectly_complete else "minpoly", a,
-                    *_resolve(a, prover, rng, challenges))
+                    prover, challenges)
 
 
-def certify_det_diag(a, prover=None, rng=None, *, challenges=None):
+def certify_det_diag(a, prover, *, challenges):
     """Determinant certificate with diagonal preconditioning."""
-    return _execute("det-diag", a, *_resolve(a, prover, rng, challenges))
+    return _execute("det-diag", a, prover, challenges)
 
 
-def certify_det_gamma(a, prover=None, rng=None, *, challenges=None):
+def certify_det_gamma(a, prover, *, challenges):
     """Determinant certificate with corner/diagonal preconditioning."""
-    return _execute("det-gamma", a, *_resolve(a, prover, rng, challenges))
+    return _execute("det-gamma", a, prover, challenges)
 
 
-def certify_det_simple(a, prover=None, rng=None, *, challenges=None):
+def certify_det_simple(a, prover, *, challenges):
     """The quotient-of-minors determinant protocol (dense prover work)."""
-    return _execute("det-simple", a, *_resolve(a, prover, rng, challenges))
+    return _execute("det-simple", a, prover, challenges)
 
 
-def certify_charpoly(a, prover=None, rng=None, *, challenges=None):
+def certify_charpoly(a, prover, *, challenges):
     """Characteristic polynomial by reduction to a determinant certificate."""
-    return _execute("charpoly", a, *_resolve(a, prover, rng, challenges))
+    return _execute("charpoly", a, prover, challenges)
 
 
 def _dispatch(protocol_id, a, prover, challenges, u=None, v=None):
@@ -639,6 +623,8 @@ def _dispatch(protocol_id, a, prover, challenges, u=None, v=None):
     session.
     """
     spec = protocol_spec(protocol_id)
+    if not isinstance(a, SparseMatrix):
+        raise UsageError("protocols take the public matrix in sparse form")
     options = dict(spec.options, challenges=challenges)
     certify = globals()[spec.certify]
     if spec.projections:
@@ -692,7 +678,7 @@ class BudgetReport:
     sent: int
     sent_bound: int | None
     random_draws: int
-    prover_draws: int
+    prover_draws: int | None
 
     @property
     def ops_ok(self):
@@ -712,9 +698,14 @@ def budget_report(transcript: Transcript, a: SparseMatrix) -> BudgetReport:
 
     mu is the cost of applying the public matrix once (2 nnz for sparse).
     ``sent`` sums the wire cost of the prover's messages, so a parsed
-    transcript, whose prover meter is empty, counts what the live session
-    charged.
+    transcript counts what the live session charged.  A parsed transcript
+    has no meters: it needs its replay's verifier meter attached, and its
+    ``prover_draws`` is None, since the prover's draws never cross the wire.
     """
+    vm, pm = transcript.verifier_meter, transcript.prover_meter
+    if vm is None:
+        raise UsageError("budget_report needs the verifier meter of a session "
+                         "or of its replay")
     n = transcript.n
     mu = a.matvec_cost()
     pid = transcript.protocol_id
@@ -731,10 +722,10 @@ def budget_report(transcript: Transcript, a: SparseMatrix) -> BudgetReport:
         protocol_id=pid,
         n=n,
         mu=mu,
-        verifier_ops=transcript.verifier_meter.field_ops,
+        verifier_ops=vm.field_ops,
         ops_bound=spec.ops_budget(mu, n, log_term) if spec.ops_budget else None,
         sent=sent,
         sent_bound=spec.sent_budget(n) if spec.sent_budget else None,
-        random_draws=transcript.verifier_meter.random_draws,
-        prover_draws=transcript.prover_meter.random_draws,
+        random_draws=vm.random_draws,
+        prover_draws=None if pm is None else pm.random_draws,
     )

@@ -25,12 +25,12 @@ from __future__ import annotations
 from random import Random
 
 from .blackbox import DiagonalMatrix, GammaMatrix, LinearOp, ProductOp, gamma_det
-from .errors import (BadShiftError, IntegrityError, ProtocolInternalError,
-                     UsageError)
+from .errors import (BadShiftError, IntegrityError, OracleCapError,
+                     ProtocolInternalError, UsageError)
 from .field import PrimeField
 from .krylov import GeneratorPair, minimal_generator_pair, solve_shifted
 from .meter import CostMeter
-from .oracle import (dense_charpoly, materialize, oracle_cap, oracle_charpoly,
+from .oracle import (dense_charpoly, materialize, oracle_charpoly,
                      oracle_kernel, oracle_minpoly)
 from .polynomial import Poly, poly_gcd, poly_lcm, xgcd
 
@@ -104,29 +104,36 @@ class HonestProver:
         mean the candidate was a proper divisor; fresh projections are
         folded in until it is not (Las Vegas: each one reveals v's
         minimal annihilator with probability at least 1 - deg/p).
+
+        det-simple's chi_B annihilates every vector (Cayley-Hamilton); the
+        verifier draws r1 off the committed chi_B, so only a false
+        commitment meets a root of the true one.
         """
         box, v, giants = self._box, self._v, self._true.giants
         cand = self._true.gen
-        while cand.eval(r1) != 0:
+        while True:
             try:
                 return solve_shifted(box, r1, v, cand, self.meter, giants)
+            except BadShiftError:
+                return None
             except IntegrityError:
                 u2 = self.field.sample_vector(self.rng, box.n, self.meter)
                 extra = minimal_generator_pair(box, u2, v, self.meter)
                 cand = poly_lcm(cand, extra.gen)
-        return None
 
     # -- determinant protocol steps ---------------------------------------------
 
     def singularity_witness(self, box: LinearOp):
         """Kernel vector when the operator is singular, else None.
 
-        Above the dense-oracle cap the check is skipped; a genuinely
-        singular operator then surfaces later as preconditioner exhaustion.
+        Above the dense-oracle cap the oracle refuses before any dense work
+        and the prover sends no witness; a genuinely singular operator then
+        surfaces later as preconditioner exhaustion.
         """
-        if box.n > oracle_cap():
+        try:
+            return oracle_kernel(box)
+        except OracleCapError:
             return None
-        return oracle_kernel(box)
 
     def choose_diagonal(self, box: LinearOp):
         """Nonzero diagonal and projections giving a degree-n generator."""
@@ -190,18 +197,7 @@ class HonestProver:
             return s, t
         raise ProtocolInternalError("no coprime characteristic pair found")
 
-    def simple_solution(self, r1: int):
-        """Solve (r1 I - B) w = e_n by chi_B; None when r1 is a root of it.
-
-        chi_B annihilates every vector (Cayley-Hamilton), so the residual
-        check cannot fail; the verifier draws r1 off the committed chi_B,
-        so only a false commitment meets a root of the true one.
-        """
-        try:
-            return solve_shifted(self._box, r1, self._v, self._true.gen,
-                                 self.meter)
-        except BadShiftError:
-            return None
+    simple_solution = solution
 
     # -- minimal polynomial extras -----------------------------------------------
 

@@ -1,13 +1,28 @@
-"""Test-only helpers: an identity matrix, a scripted challenge source, and
-two dense references (a linear solve and a vector's Krylov annihilator)
-that no library path runs."""
+"""Test-only helpers: an identity matrix, a seeded interactive session, a
+scripted challenge source, and two dense references (a linear solve and a
+vector's Krylov annihilator) that no library path runs."""
 
-from certilin import SparseMatrix
+from random import Random
+
+from certilin import HonestProver, SparseMatrix
+from certilin.harness import run_protocol
 from certilin.oracle import _krylov_minpoly, materialize
 
 
 def identity_matrix(field, n):
     return SparseMatrix(field, n, [(i, i, 1) for i in range(n)])
+
+
+def seeded_session(protocol, a, seed, prover=None, u=None, v=None):
+    """One interactive session whose challenges draw from Random(seed).
+
+    Without a prover, an honest one draws from that same generator, so the
+    prover and the challenges share one stream.
+    """
+    rng = Random(seed)
+    if prover is None:
+        prover = HonestProver(a.field, rng)
+    return run_protocol(protocol, a, prover, rng, u=u, v=v)
 
 
 class ScriptedChallenges:

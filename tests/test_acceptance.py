@@ -24,9 +24,7 @@ import time
 from random import Random
 
 from certilin import (Accept, GammaMatrix, HonestProver, Poly, PrimeField,
-                      ProductOp, SingularResult, certify_charpoly,
-                      certify_det_diag, certify_det_gamma, certify_det_simple,
-                      certify_generator, certify_minpoly, gamma_det,
+                      ProductOp, SingularResult, gamma_det,
                       minimal_generator_pair, oracle_charpoly, oracle_det,
                       oracle_minpoly, parse_transcript, poly_gcd,
                       solve_shifted, verify_noninteractive, xgcd)
@@ -38,7 +36,7 @@ from certilin.harness import (_corrupt_payload_byte, gen_nonsingular,
 from certilin.oracle import materialize
 from certilin.protocol import budget_report, fiat_shamir
 
-from helpers import vector_minpoly
+from helpers import seeded_session, vector_minpoly
 
 P_BIG = 1_000_003
 FIELD = PrimeField(P_BIG)
@@ -67,21 +65,20 @@ def test_criterion_1_oracle_equivalence():
             charp = oracle_charpoly(a)
             seed = 1000 * n + k
 
-            _, out = certify_minpoly(a, rng=seed, perfectly_complete=True)
+            _, out = seeded_session("minpoly-pc", a, seed)
             if isinstance(out, Accept):
                 assert out.result == minp
 
-            for cert in (certify_det_diag, certify_det_gamma,
-                         certify_det_simple):
-                _, out = cert(a, rng=seed)
+            for protocol in ("det-diag", "det-gamma", "det-simple"):
+                _, out = seeded_session(protocol, a, seed)
                 if isinstance(out, Accept):
                     got = out.result
                     if isinstance(got, SingularResult):
-                        assert det == 0, cert.__name__
+                        assert det == 0, protocol
                     else:
-                        assert got == det, cert.__name__
+                        assert got == det, protocol
 
-            _, out = certify_charpoly(a, rng=seed)
+            _, out = seeded_session("charpoly", a, seed)
             if isinstance(out, Accept):
                 assert out.result == charp
             checked += 1
@@ -101,31 +98,31 @@ def test_criterion_2_verifier_budgets():
         u = [FIELD.sample(rng) for _ in range(n)]
         v = [FIELD.sample(rng) for _ in range(n)]
 
-        t, o = certify_generator(a, u, v, rng=n)
+        t, o = seeded_session("fauv", a, n, u=u, v=v)
         assert isinstance(o, Accept)
         rep = budget_report(t, a)
         assert rep.verifier_ops <= mu + 17 * n, f"fauv ops n={n}"
         assert rep.sent <= 4 * n, f"fauv sent n={n}"
 
-        t, o = certify_generator(a, u, v, rng=n + 1, merged=True)
+        t, o = seeded_session("fauv-merged", a, n + 1, u=u, v=v)
         assert isinstance(o, Accept)
         rep = budget_report(t, a)
         assert rep.verifier_ops <= mu + 13 * n, f"merged ops n={n}"
         assert rep.sent <= 4 * n, f"merged sent n={n}"
 
-        t, o = certify_det_diag(a, rng=n + 2)
+        t, o = seeded_session("det-diag", a, n + 2)
         assert isinstance(o, Accept)
         rep = budget_report(t, a)
         assert rep.verifier_ops <= mu + 15 * n + log_term, f"diag ops n={n}"
         assert rep.sent <= 8 * n, f"diag sent n={n}"
 
-        t, o = certify_det_gamma(a, rng=n + 3)
+        t, o = seeded_session("det-gamma", a, n + 3)
         assert isinstance(o, Accept)
         rep = budget_report(t, a)
         assert rep.verifier_ops <= mu + 13 * n + log_term, f"gamma ops n={n}"
         assert rep.sent <= 5 * n, f"gamma sent n={n}"
 
-        t, o = certify_minpoly(a, rng=n + 4)
+        t, o = seeded_session("minpoly", a, n + 4)
         assert isinstance(o, Accept)
         rep = budget_report(t, a)
         assert rep.verifier_ops <= mu + 13 * n, f"minpoly ops n={n}"
@@ -139,13 +136,13 @@ def test_criterion_2_verifier_budgets():
 def test_criterion_3_randomness_economy():
     n = 10
     a = random_nonsingular_dense_checked(FIELD, n, subseed(3, "c3"), 0.3)
-    t, o = certify_det_gamma(a, rng=31)
+    t, o = seeded_session("det-gamma", a, 31)
     assert isinstance(o, Accept)
     gamma_draws = t.verifier_meter.random_draws + t.prover_meter.random_draws
     assert gamma_draws == 3
     assert t.prover_meter.random_draws == 2 and t.verifier_meter.random_draws == 1
 
-    t, o = certify_det_diag(a, rng=32)
+    t, o = seeded_session("det-diag", a, 32)
     assert isinstance(o, Accept)
     diag_draws = t.verifier_meter.random_draws + t.prover_meter.random_draws
     # 3n prover elements plus the merged challenge; the 3n+2 budget
@@ -356,7 +353,7 @@ def test_prover_cost_note():
     for seed in range(20):
         u = [FIELD.sample(rng) for _ in range(n)]
         v = [FIELD.sample(rng) for _ in range(n)]
-        t, o = certify_generator(a, u, v, rng=seed)
+        t, o = seeded_session("fauv", a, seed, u=u, v=v)
         assert isinstance(o, Accept)
         assert t.prover_meter.matvec <= 2 * n + o.result.degree
     report("prover-cost", True, "prover matvecs <= 2n + deg(f)")

@@ -8,10 +8,9 @@ from certilin import (Accept, BadChallenge, FieldTooSmallError,
                       GammaMatrix, GeneratorPair, HonestProver, Poly,
                       PrimeField, ProductOp, ProtocolInternalError, Reject,
                       SingularResult, SparseMatrix, UsageError, budget_report,
-                      certify_charpoly, certify_det_diag, certify_det_gamma,
-                      certify_det_simple, certify_generator, certify_minpoly,
-                      fiat_shamir, field_size_bound, oracle_charpoly,
-                      oracle_det, oracle_minpoly)
+                      certify_charpoly, certify_det_simple, certify_generator,
+                      certify_minpoly, fiat_shamir, field_size_bound,
+                      oracle_charpoly, oracle_det, oracle_minpoly)
 from certilin.challenges import RandomChallenges
 from certilin.harness import (gen_singular, gen_sparse,
                               random_nonsingular_dense_checked, run_protocol)
@@ -19,7 +18,8 @@ from certilin.oracle import dense_charpoly, materialize
 from certilin.protocol import PROTOCOL_IDS
 from certilin.provers import WrongClaimProver
 
-from helpers import ScriptedChallenges, dense_solve, identity_matrix
+from helpers import (ScriptedChallenges, dense_solve, identity_matrix,
+                     seeded_session)
 
 
 def P(field, *coeffs):
@@ -42,26 +42,26 @@ def test_fauv_swap_honest(fbig):
     expected = P(fbig, -1, 0, 1)
     assert oracle_minpoly(a) == expected
     for seed in range(10):
-        _, outcome = certify_generator(a, [1, 0], [1, 0], rng=seed)
+        _, outcome = seeded_session("fauv", a, seed, u=[1, 0], v=[1, 0])
         assert outcome == Accept(expected)
 
 
 def test_fauv_merged_identity(fbig):
     a = identity_matrix(fbig, 4)
-    _, outcome = certify_generator(a, [1, 0, 0, 0], [1, 0, 0, 0], rng=3,
-                                   merged=True)
+    _, outcome = seeded_session("fauv-merged", a, 3, u=[1, 0, 0, 0],
+                                v=[1, 0, 0, 0])
     assert outcome == Accept(P(fbig, -1, 1))
 
 
 def test_fauv_merged_zero_matrix(fbig):
     a = SparseMatrix(fbig, 3, [])
-    _, outcome = certify_generator(a, [1, 0, 0], [1, 0, 0], rng=4, merged=True)
+    _, outcome = seeded_session("fauv-merged", a, 4, u=[1, 0, 0], v=[1, 0, 0])
     assert outcome == Accept(P(fbig, 0, 1))
 
 
 def test_fauv_zero_projection(fbig):
     a = swap_matrix(fbig)
-    _, outcome = certify_generator(a, [0, 0], [1, 0], rng=5)
+    _, outcome = seeded_session("fauv", a, 5, u=[0, 0], v=[1, 0])
     assert outcome == Accept(Poly.one(fbig))
 
 
@@ -69,10 +69,10 @@ def test_fauv_field_gate():
     f11 = PrimeField(11)
     a = identity_matrix(f11, 4)
     with pytest.raises(FieldTooSmallError) as e:
-        certify_generator(a, [1, 0, 0, 0], [1, 0, 0, 0], rng=1)
+        seeded_session("fauv", a, 1, u=[1, 0, 0, 0], v=[1, 0, 0, 0])
     assert e.value.required == 12
     with pytest.raises(FieldTooSmallError) as e:
-        certify_minpoly(identity_matrix(f11, 10), rng=1)
+        seeded_session("minpoly", identity_matrix(f11, 10), 1)
     assert "requires p >= 48" in str(e.value)
 
 
@@ -80,13 +80,14 @@ def test_fauv_bad_challenge_path(fbig):
     # Identity matrix: the Krylov annihilator is x - 1, so challenge 1 is bad.
     a = identity_matrix(fbig, 3)
     ch = ScriptedChallenges([5, 1], RandomChallenges(Random(0)))
-    _, outcome = certify_generator(a, [1, 0, 0], [1, 0, 0], rng=9, challenges=ch)
+    _, outcome = certify_generator(a, [1, 0, 0], [1, 0, 0],
+                                   HonestProver(fbig, Random(9)), challenges=ch)
     assert isinstance(outcome, BadChallenge)
 
 
 def test_fauv_prover_matvec_budget(fbig):
     a = gen_sparse(fbig, 10, 0.3, Random(41))
-    t, outcome = certify_generator(a, [1] * 10, [2] * 10, rng=42)
+    t, outcome = seeded_session("fauv", a, 42, u=[1] * 10, v=[2] * 10)
     assert isinstance(outcome, Accept)
     assert t.prover_meter.matvec <= 2 * a.n + outcome.result.degree
 
@@ -98,7 +99,7 @@ def test_fauv_syntactic_gate(fbig):
 
     a = swap_matrix(fbig)
     prover = NonMonicProver(fbig, Random(1))
-    _, outcome = certify_generator(a, [1, 0], [1, 0], prover, rng=2)
+    _, outcome = seeded_session("fauv", a, 2, prover, u=[1, 0], v=[1, 0])
     assert outcome == Reject("malformed-commitment")
 
 
@@ -110,7 +111,7 @@ def test_fauv_bezout_degree_gate(fbig):
 
     a = swap_matrix(fbig)
     prover = FatBezoutProver(fbig, Random(1))
-    _, outcome = certify_generator(a, [1, 0], [1, 0], prover, rng=2)
+    _, outcome = seeded_session("fauv", a, 2, prover, u=[1, 0], v=[1, 0])
     assert outcome == Reject("bezout-degree")
 
 
@@ -122,13 +123,13 @@ def test_minpoly_diagonal(fbig):
     expected = P(fbig, -6, 11, -6, 1)
     assert oracle_minpoly(a) == expected
     for seed in range(5):
-        _, outcome = certify_minpoly(a, rng=seed)
+        _, outcome = seeded_session("minpoly", a, seed)
         assert outcome == Accept(expected)
 
 
 def test_minpoly_identity(fbig):
     a = identity_matrix(fbig, 6)
-    _, outcome = certify_minpoly(a, rng=1)
+    _, outcome = seeded_session("minpoly", a, 1)
     assert outcome == Accept(P(fbig, -1, 1))
 
 
@@ -140,8 +141,8 @@ def test_minpoly_forced_degenerate_projection(fbig):
     assert expected == (P(fbig, -1, 1) * P(fbig, -2, 1)).monic()
     script = [1, 0, 0, 1, 0, 0]
     ch = ScriptedChallenges(script, RandomChallenges(Random(7)))
-    transcript, outcome = certify_minpoly(a, rng=8, perfectly_complete=True,
-                                          challenges=ch)
+    transcript, outcome = certify_minpoly(
+        a, HonestProver(fbig, Random(8)), perfectly_complete=True, challenges=ch)
     assert outcome == Accept(expected)
     kinds = [m.kind for _, m in transcript.messages]
     assert "projection2" in kinds and kinds.count("commit") == 2
@@ -149,14 +150,14 @@ def test_minpoly_forced_degenerate_projection(fbig):
     # Without the perfectly complete machinery the degenerate projection
     # certifies only the projected factor.
     ch = ScriptedChallenges(script, RandomChallenges(Random(7)))
-    _, outcome = certify_minpoly(a, rng=8, challenges=ch)
+    _, outcome = certify_minpoly(a, HonestProver(fbig, Random(8)), challenges=ch)
     assert outcome == Accept(P(fbig, -1, 1))
 
 
 def test_minpoly_pc_no_rejects(fbig):
     a = random_nonsingular_dense_checked(fbig, 8, Random(50))
     for seed in range(30):
-        _, outcome = certify_minpoly(a, rng=seed, perfectly_complete=True)
+        _, outcome = seeded_session("minpoly-pc", a, seed)
         assert not isinstance(outcome, Reject)
         if isinstance(outcome, Accept):
             assert outcome.result == oracle_minpoly(a)
@@ -166,7 +167,7 @@ def test_minpoly_pc_no_rejects(fbig):
 
 
 def test_det_diag_identity(fbig):
-    _, outcome = certify_det_diag(identity_matrix(fbig, 2), rng=1)
+    _, outcome = seeded_session("det-diag", identity_matrix(fbig, 2), 1)
     assert outcome == Accept(1)
 
 
@@ -175,8 +176,8 @@ def test_det_protocols_match_oracle(fbig):
     for seed in range(100):
         a = random_nonsingular_dense_checked(fbig, 10, rng, 0.3)
         expected = oracle_det(a)
-        for cert in (certify_det_diag, certify_det_gamma):
-            _, outcome = cert(a, rng=seed)
+        for protocol in ("det-diag", "det-gamma"):
+            _, outcome = seeded_session(protocol, a, seed)
             assert outcome == Accept(expected)
 
 
@@ -185,16 +186,16 @@ def test_det_sign_convention_both_parities(fbig):
     odd = diag_matrix(fbig, [2, 3, 5])        # det 30, n odd
     for a, expected in ((even, 6), (odd, 30)):
         assert oracle_det(a) == expected
-        for cert in (certify_det_diag, certify_det_gamma, certify_det_simple):
-            _, outcome = cert(a, rng=11)
-            assert outcome == Accept(expected), cert.__name__
+        for protocol in ("det-diag", "det-gamma", "det-simple"):
+            _, outcome = seeded_session(protocol, a, 11)
+            assert outcome == Accept(expected), protocol
 
 
 def test_det_singular_witness(fbig):
     a = gen_singular(fbig, 6, Random(70))
     assert oracle_det(a) == 0
-    for cert in (certify_det_diag, certify_det_gamma, certify_det_simple):
-        transcript, outcome = cert(a, rng=12)
+    for protocol in ("det-diag", "det-gamma", "det-simple"):
+        transcript, outcome = seeded_session(protocol, a, 12)
         assert outcome == Accept(SingularResult())
         kinds = [m.kind for _, m in transcript.messages]
         assert kinds == ["witness"]
@@ -215,12 +216,12 @@ def test_det_gamma_singular_above_cap():
 
 
 def test_det_simple(f101, fbig):
-    _, outcome = certify_det_simple(identity_matrix(f101, 2), rng=1)
+    _, outcome = seeded_session("det-simple", identity_matrix(f101, 2), 1)
     assert outcome == Accept(1)
     rng = Random(80)
     for seed in range(100):
         a = random_nonsingular_dense_checked(fbig, 3, rng, 0.6)
-        _, outcome = certify_det_simple(a, rng=seed)
+        _, outcome = seeded_session("det-simple", a, seed)
         assert outcome == Accept(oracle_det(a))
 
 
@@ -280,11 +281,11 @@ def test_simple_solution_at_a_root_of_the_true_chi_is_none(f101):
 
 def test_det_gamma_randomness_economy(fbig):
     a = random_nonsingular_dense_checked(fbig, 10, Random(90), 0.3)
-    t, outcome = certify_det_gamma(a, rng=13)
+    t, outcome = seeded_session("det-gamma", a, 13)
     assert isinstance(outcome, Accept)
     assert t.verifier_meter.random_draws == 1
     assert t.prover_meter.random_draws == 2
-    t, outcome = certify_det_diag(a, rng=14)
+    t, outcome = seeded_session("det-diag", a, 14)
     assert isinstance(outcome, Accept)
     draws = t.verifier_meter.random_draws + t.prover_meter.random_draws
     assert draws == 3 * a.n + 1 <= 3 * a.n + 2
@@ -301,29 +302,29 @@ def test_verifier_budgets(fbig, n):
     u = [fbig.sample(rng) for _ in range(n)]
     v = [fbig.sample(rng) for _ in range(n)]
 
-    t, o = certify_generator(a, u, v, rng=1)
+    t, o = seeded_session("fauv", a, 1, u=u, v=v)
     assert isinstance(o, Accept)
     rep = budget_report(t, a)
     assert rep.verifier_ops <= a.matvec_cost() + 17 * n
     assert rep.sent <= 4 * n and rep.ok
 
-    t, o = certify_generator(a, u, v, rng=2, merged=True)
+    t, o = seeded_session("fauv-merged", a, 2, u=u, v=v)
     rep = budget_report(t, a)
     assert rep.verifier_ops <= a.matvec_cost() + 13 * n and rep.ok
 
-    t, o = certify_minpoly(a, rng=5)
+    t, o = seeded_session("minpoly", a, 5)
     assert isinstance(o, Accept)
     rep = budget_report(t, a)
     assert rep.ops_bound == a.matvec_cost() + 13 * n
     assert rep.verifier_ops <= a.matvec_cost() + 13 * n and rep.ok
 
-    t, o = certify_det_diag(a, rng=3)
+    t, o = seeded_session("det-diag", a, 3)
     assert isinstance(o, Accept)
     rep = budget_report(t, a)
     assert rep.verifier_ops <= a.matvec_cost() + 15 * n + 4 * math.ceil(math.log2(n))
     assert rep.sent <= 8 * n and rep.ok
 
-    t, o = certify_det_gamma(a, rng=4)
+    t, o = seeded_session("det-gamma", a, 4)
     assert isinstance(o, Accept)
     rep = budget_report(t, a)
     assert rep.verifier_ops <= a.matvec_cost() + 13 * n + 4 * math.ceil(math.log2(n))
@@ -336,7 +337,7 @@ def test_verifier_budgets(fbig, n):
 def test_charpoly_diag(fbig):
     a = diag_matrix(fbig, [1, 2])
     expected = (P(fbig, -1, 1) * P(fbig, -2, 1)).monic()
-    _, outcome = certify_charpoly(a, rng=1)
+    _, outcome = seeded_session("charpoly", a, 1)
     assert outcome == Accept(expected)
 
 
@@ -350,7 +351,7 @@ def test_charpoly_identity(fbig):
         power = power * one
     assert expected == power
     for seed in range(5):
-        _, outcome = certify_charpoly(a, rng=seed)
+        _, outcome = seeded_session("charpoly", a, seed)
         assert outcome == Accept(expected)
 
 
@@ -358,7 +359,7 @@ def test_charpoly_random_matches_oracle(fbig):
     rng = Random(110)
     for seed in range(30):
         a = random_nonsingular_dense_checked(fbig, 6, rng, 0.4)
-        _, outcome = certify_charpoly(a, rng=seed)
+        _, outcome = seeded_session("charpoly", a, seed)
         assert outcome == Accept(oracle_charpoly(a))
 
 
@@ -366,7 +367,7 @@ def test_charpoly_singular_matrix_ok(fbig):
     # Works on singular input too: only the shifted matrix enters the
     # determinant subprotocol.
     a = gen_singular(fbig, 5, Random(120))
-    _, outcome = certify_charpoly(a, rng=2)
+    _, outcome = seeded_session("charpoly", a, 2)
     assert outcome == Accept(oracle_charpoly(a))
 
 
@@ -382,6 +383,16 @@ def test_run_protocol_every_registered_id(fbig):
         assert isinstance(outcome, Accept), protocol
     with pytest.raises(UsageError):
         run_protocol("det-bogus", a, HonestProver(fbig, Random(1)), Random(2))
+
+
+def test_sessions_take_the_matrix_in_sparse_form(fbig):
+    a = random_nonsingular_dense_checked(fbig, 4, Random(140), 0.5)
+    for public in (a.to_dense(), ProductOp(a, a)):
+        with pytest.raises(UsageError, match="sparse form"):
+            fiat_shamir("det-gamma", public, HonestProver(fbig, Random(1)))
+        with pytest.raises(UsageError, match="sparse form"):
+            run_protocol("det-gamma", public, HonestProver(fbig, Random(1)),
+                         Random(2))
 
 
 # -- field gates across protocols ---------------------------------------------------
@@ -402,7 +413,7 @@ def test_det_gamma_field_gate():
     f101 = PrimeField(101)
     a = identity_matrix(f101, 12)  # needs p >= 132
     with pytest.raises(FieldTooSmallError):
-        certify_det_gamma(a, rng=1)
+        seeded_session("det-gamma", a, 1)
 
 
 # -- edge paths ---------------------------------------------------------------
@@ -410,12 +421,12 @@ def test_det_gamma_field_gate():
 
 def test_all_protocols_n1(fbig):
     a = SparseMatrix(fbig, 1, [(0, 0, 5)])
-    for cert in (certify_det_diag, certify_det_gamma, certify_det_simple):
-        _, out = cert(a, rng=1)
+    for protocol in ("det-diag", "det-gamma", "det-simple"):
+        _, out = seeded_session(protocol, a, 1)
         assert out == Accept(5)
-    _, out = certify_minpoly(a, rng=2)
+    _, out = seeded_session("minpoly", a, 2)
     assert out == Accept(P(fbig, -5, 1))
-    _, out = certify_charpoly(a, rng=3)
+    _, out = seeded_session("charpoly", a, 3)
     assert out == Accept(P(fbig, -5, 1))
 
 
@@ -427,7 +438,7 @@ def test_invalid_bezout_identity_rejected(fbig):
 
     a = swap_matrix(fbig)
     prover = BrokenBezoutProver(fbig, Random(1))
-    _, outcome = certify_generator(a, [1, 0], [1, 0], prover, rng=2)
+    _, outcome = seeded_session("fauv", a, 2, prover, u=[1, 0], v=[1, 0])
     assert outcome == Reject("coprimality-check")
 
 
@@ -448,7 +459,7 @@ def test_random_bezout_pairs_rejected(fbig):
     v = [fbig.sample(rng) for _ in range(a.n)]
     prover = RandomBezoutProver(fbig, Random(5))
     for seed in range(300):
-        _, outcome = certify_generator(a, u, v, prover, rng=seed)
+        _, outcome = seeded_session("fauv", a, seed, prover, u=u, v=v)
         assert outcome == Reject("coprimality-check"), seed
 
 
@@ -460,7 +471,7 @@ def test_zero_diagonal_entry_rejected(fbig):
             return diag, u, v
 
     a = random_nonsingular_dense_checked(fbig, 4, Random(2), 0.5)
-    _, outcome = certify_det_diag(a, ZeroDiagProver(fbig, Random(3)), rng=4)
+    _, outcome = seeded_session("det-diag", a, 4, ZeroDiagProver(fbig, Random(3)))
     assert outcome == Reject("malformed-preconditioner")
 
 
@@ -471,7 +482,8 @@ def test_singular_gamma_announce_rejected(fbig):
             return fbig.neg(1), 1  # t^n + s = 1 + (-1) = 0 for even n
 
     a = random_nonsingular_dense_checked(fbig, 4, Random(5), 0.5)
-    _, outcome = certify_det_gamma(a, SingularGammaProver(fbig, Random(6)), rng=7)
+    _, outcome = seeded_session("det-gamma", a, 7,
+                                SingularGammaProver(fbig, Random(6)))
     assert outcome == Reject("gamma-singular")
 
 
@@ -492,7 +504,7 @@ def test_degree_requirement_gate(fbig):
             self._set_session(pre, v, minimal_generator_pair(pre, u, v, self.meter))
             return diag, u, v
 
-    _, outcome = certify_det_diag(a, LazyProver(fbig, Random(8)), rng=9)
+    _, outcome = seeded_session("det-diag", a, 9, LazyProver(fbig, Random(8)))
     assert outcome == Reject("degree-requirement")
 
 
@@ -500,10 +512,10 @@ def test_gate_boundary_exact(f101):
     # p = 101 meets the det-gamma bound n^2 - n exactly at n = 10 (bound 90)
     # and misses it at n = 11 (bound 110).
     ok = random_nonsingular_dense_checked(f101, 10, Random(10), 0.4)
-    _, outcome = certify_det_gamma(ok, rng=11)
+    _, outcome = seeded_session("det-gamma", ok, 11)
     assert isinstance(outcome, (Accept, BadChallenge))
     with pytest.raises(FieldTooSmallError):
-        certify_det_gamma(identity_matrix(f101, 11), rng=12)
+        seeded_session("det-gamma", identity_matrix(f101, 11), 12)
 
 
 # -- verifier exits that honest sessions do not reach ------------------------
@@ -534,8 +546,7 @@ class ShortProjectionProver(EchoProjectionProver):
 ])
 def test_minpoly_pc_rejects_a_bad_secondary_projection(fbig, cls, reason):
     a = random_nonsingular_dense_checked(fbig, 6, Random(21), 0.4)
-    t, outcome = certify_minpoly(a, cls(fbig, Random(22)), rng=23,
-                                 perfectly_complete=True)
+    t, outcome = seeded_session("minpoly-pc", a, 23, cls(fbig, Random(22)))
     assert outcome == Reject(reason)
     assert budget_report(t, a).ops_ok
 
@@ -545,7 +556,8 @@ def test_det_simple_without_a_usable_challenge(f101):
     from certilin.protocol import _SIMPLE_CHALLENGE_TRIES
     a = random_nonsingular_dense_checked(f101, 4, Random(3), 0.5)
     for seed in range(20):
-        t, _ = certify_det_simple(a, HonestProver(f101, Random(seed)), rng=1)
+        t, _ = seeded_session("det-simple", a, 1,
+                              HonestProver(f101, Random(seed)))
         chi = next(m for _, m in t.messages if m.kind == "commit").gen
         roots = [r for r in range(f101.p) if chi.eval(r) == 0]
         if roots:

@@ -312,8 +312,20 @@ def test_budget_report_same_on_replay(fbig, matrix, protocol):
         parsed = parse_transcript(transcript.render())
         _, meter = verify_noninteractive(parsed, a)
         replayed = budget_report(replace(parsed, verifier_meter=meter), a)
-        # The prover's own draws never cross the wire, so a replay has none.
-        assert replayed == replace(budget_report(transcript, a), prover_draws=0)
+        # The prover's own draws never cross the wire: a replay cannot count
+        # them.
+        assert replayed == replace(budget_report(transcript, a),
+                                   prover_draws=None)
+
+
+def test_budget_report_of_a_parsed_transcript_needs_a_replay(matrix):
+    # A parsed transcript carries no meters; reporting its budget without a
+    # replay's verifier meter would report zero operations within budget.
+    transcript, _ = fs_session(matrix)
+    parsed = parse_transcript(transcript.render())
+    assert parsed.verifier_meter is None and parsed.prover_meter is None
+    with pytest.raises(UsageError):
+        budget_report(parsed, matrix)
 
 
 def test_parse_transcript_strictness(matrix):
