@@ -37,8 +37,8 @@ from operator import mul
 from .blackbox import LinearOp, matvec
 from .errors import BadShiftError, IntegrityError, UsageError
 from .meter import CostMeter
-from .polynomial import (_HGCD_MIN, Poly, _pack, _slot_bytes, _slots,
-                         berlekamp_massey)
+from .polynomial import (_HGCD_MIN, Poly, _pack, _slot_bytes, _strip,
+                         _unpack, berlekamp_massey)
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ def wiedemann_sequence(op: LinearOp, u: list, v: list, length: int,
                         else u[j] * cur[j]) % p)
         elif i % block == 0:
             x = [a % p for a in cur]
-            terms = _slots(sum(map(mul, x, q)), w, block)[:length - i]
-            seq += [c % p for c in terms]
+            seq += _unpack(sum(map(mul, x, q)), w, block, p)[:length - i]
     return seq
 
 
@@ -125,7 +124,8 @@ def residue_polynomial(gen: Poly, seq: list) -> Poly:
     # Coefficients d..2d-1 of gen * sum_(i<d) seq[i] x^(d-1-i).
     w = _slot_bytes(p, d + 1)
     prod = _pack(g, w) * _pack([a % p for a in reversed(seq[:d])], w)
-    return Poly(field, _slots(prod >> (8 * w * d), w, d))
+    res = _strip(_unpack(prod >> (8 * w * d), w, d, p))
+    return Poly(field, tuple(res), _canonical=True)
 
 
 def minimal_generator_pair(op: LinearOp, u: list, v: list,
@@ -185,7 +185,7 @@ def solve_shifted(op: LinearOp, r1: int, v: list, gen: Poly,
         packed = [_pack([a % p for a in step], size) for step in steps]
 
         def combine(cs):
-            return _slots(sum(map(mul, cs, packed)), size, n)
+            return _unpack(sum(map(mul, cs, packed)), size, n, p)
     else:
         cols = list(zip(*steps))
 

@@ -30,11 +30,15 @@ from typing import Callable, NamedTuple
 from .errors import ParseError, UsageError
 from .field import PrimeField
 from .meter import CostMeter
-from .polynomial import Poly
+from .polynomial import Poly, _le_words
 
 TRANSCRIPT_MAGIC = "certilin/1"
 
 _DEC = re.compile(r"^(0|[1-9][0-9]*)$")
+# Comma-joined canonical decimals of at most 19 digits: every residue mod
+# p < 2**62 has at most 19, so a longer token goes to the per-token parser.
+_CANONICAL_VEC = re.compile(
+    r"(?:0|[1-9][0-9]{0,18})(?:,(?:0|[1-9][0-9]{0,18}))*\Z")
 
 
 # -- message types -------------------------------------------------------
@@ -107,7 +111,7 @@ def _scalar_bytes(x: int) -> bytes:
 
 
 def _vec_bytes(v) -> bytes:
-    return _scalar_bytes(len(v)) + b"".join(_scalar_bytes(x) for x in v)
+    return _scalar_bytes(len(v)) + _le_words(v)
 
 
 def _parse_scalar(field: PrimeField, tok: str, lineno: int) -> int:
@@ -120,6 +124,11 @@ def _parse_scalar(field: PrimeField, tok: str, lineno: int) -> int:
 
 
 def _parse_vec(field: PrimeField, tok: str, lineno: int) -> tuple:
+    if _CANONICAL_VEC.match(tok):
+        vec = tuple(map(int, tok.split(",")))
+        if max(vec) < field.p:
+            return vec
+    # Not canonical: the per-token parser names the first bad token.
     return tuple(_parse_scalar(field, part, lineno) for part in tok.split(","))
 
 

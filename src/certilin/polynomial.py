@@ -15,6 +15,8 @@ wire.  The wire format that uses them, parser included, lives in
 
 from __future__ import annotations
 
+import sys
+from array import array
 from operator import mul
 
 from .errors import DomainError, IntegrityError, UsageError
@@ -22,6 +24,7 @@ from .field import PrimeField, same_field
 from .meter import CostMeter
 
 NEG_INF = float("-inf")
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _strip(c: list) -> list:
@@ -278,9 +281,17 @@ def _step(r0: list, r1: list, s0: list, s1: list, t0: list, t1: list,
 # polynomial matrix products (Knuth-Schoenhage; Thull & Yap 1990).  The
 # products run as Kronecker substitutions: each coefficient list is packed
 # into one Python int, so that CPython's Karatsuba multiplies whole
-# polynomials, and each result is unpacked once with ``% p``.  Every row
-# the half-gcd reaches is the classical loop's row, so results are the same
-# bit for bit.
+# polynomials, and each result is unpacked once into residues mod p.  Every
+# row the half-gcd reaches is the classical loop's row, so results are the
+# same bit for bit.
+#
+# Both conversions cross the int/bytes boundary a whole list at a time: a
+# slot is w little-endian bytes, and the list goes through one
+# ``array("Q")`` of 8-byte machine words (byteswapped on a big-endian
+# host) and a few strided ``bytearray`` copies, one per byte of the word
+# or slot, never one ``to_bytes``/``from_bytes`` per coefficient.  So
+# ``_pack`` takes canonical coefficients in [0, 2**64), as every caller's
+# residues mod p < 2**62 are, and raises OverflowError otherwise.
 
 # Pairs with a first operand of at most this many coefficients run the
 # classical loop; above it the half-gcd recursion splits the work.
@@ -296,19 +307,46 @@ def _slot_bytes(p: int, n: int) -> int:
     return ((2 * n * (p - 1) ** 2 + p - 1).bit_length() + 7) // 8
 
 
+def _le_words(c) -> bytes:
+    """Each of the ints 0 <= c_i < 2**64 as 8 little-endian bytes."""
+    a = array("Q", c)
+    if _BIG_ENDIAN:
+        a.byteswap()
+    return a.tobytes()
+
+
 def _pack(c: list, w: int) -> int:
-    return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in c]), "little")
-
-
-def _slots(x: int, w: int, n: int) -> list:
-    """The first n w-byte slots of x, as they are."""
-    b = x.to_bytes(n * w, "little")
-    return [int.from_bytes(b[i:i + w], "little") for i in range(0, n * w, w)]
+    """c as one int of w-byte slots, c[0] lowest; 0 <= c_i < 256**min(w, 8)."""
+    raw = _le_words(c)
+    slots = bytearray(len(c) * w)
+    for b in range(min(w, 8)):
+        slots[b::w] = raw[b::8]
+    return int.from_bytes(slots, "little")
 
 
 def _unpack(x: int, w: int, n: int, p: int) -> list:
-    """The first n slots of x, reduced mod p and stripped."""
-    return _strip([c % p for c in _slots(x, w, n)])
+    """The first n w-byte slots of x, reduced mod p (not stripped).
+
+    Bytes 8k to 8k + 7 of each slot form its word k, k < 3 for w <= 24,
+    and word k folds in as h * (2**(64k) % p).
+    """
+    raw = x.to_bytes(n * w, "little")
+    words = []
+    for start in range(0, w, 8):
+        buf = bytearray(8 * n)
+        for b in range(start, min(start + 8, w)):
+            buf[b - start::8] = raw[b::w]
+        a = array("Q", buf)
+        if _BIG_ENDIAN:
+            a.byteswap()
+        words.append(a.tolist())
+    if len(words) == 1:
+        return [h % p for h in words[0]]
+    c1 = (1 << 64) % p
+    if len(words) == 2:
+        return [(lo + hi * c1) % p for lo, hi in zip(*words)]
+    c2 = (1 << 128) % p
+    return [(lo + mid * c1 + hi * c2) % p for lo, mid, hi in zip(*words)]
 
 
 def _mat_mul(m: tuple, cols: list, p: int, top: tuple = ((), ()), k: int = 0) -> list:
@@ -331,7 +369,7 @@ def _mat_mul(m: tuple, cols: list, p: int, top: tuple = ((), ()), k: int = 0) ->
             if h:
                 acc += _pack(h, w) << (8 * w * k)
                 size = max(size, len(h) + k)
-            out.append(_unpack(acc, w, max(size, 0), p))
+            out.append(_strip(_unpack(acc, w, max(size, 0), p)))
     return out
 
 

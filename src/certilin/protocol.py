@@ -566,7 +566,13 @@ def _play(protocol_id, run, a, prover=None, u=None, v=None):
         return BadChallenge(sig.detail)
 
 
+def _require_sparse(a):
+    if not isinstance(a, SparseMatrix):
+        raise UsageError("protocols take the public matrix in sparse form")
+
+
 def _execute(protocol_id, a, prover, challenges, u=None, v=None):
+    _require_sparse(a)
     require_field_size(protocol_id, a.n, a.field.p)
     digest = matrix_digest(a)
     run = _Run(protocol_id, a.field, a.n, digest, challenges, prover.meter)
@@ -579,6 +585,7 @@ def _execute(protocol_id, a, prover, challenges, u=None, v=None):
 
 def certify_generator(a, u, v, prover, *, merged=False, challenges):
     """Certificate for the minimal generator of (u^T A^i v)."""
+    _require_sparse(a)
     if u is None or v is None:
         raise UsageError("fauv protocols need explicit projections")
     u = a.field.check_vector(u)
@@ -623,8 +630,6 @@ def _dispatch(protocol_id, a, prover, challenges, u=None, v=None):
     session.
     """
     spec = protocol_spec(protocol_id)
-    if not isinstance(a, SparseMatrix):
-        raise UsageError("protocols take the public matrix in sparse form")
     options = dict(spec.options, challenges=challenges)
     certify = globals()[spec.certify]
     if spec.projections:

@@ -1,11 +1,14 @@
 """Test-only helpers: an identity matrix, a seeded interactive session, a
-scripted challenge source, and two dense references (a linear solve and a
-vector's Krylov annihilator) that no library path runs."""
+scripted challenge source, two dense references (a linear solve and a
+vector's Krylov annihilator) and per-element references for the bulk
+int/bytes conversions (Kronecker slots, vector wire bytes and vector
+parsing) that no library path runs."""
 
 from random import Random
 
 from certilin import HonestProver, SparseMatrix
 from certilin.harness import run_protocol
+from certilin.messages import _parse_scalar
 from certilin.oracle import _krylov_minpoly, materialize
 
 
@@ -69,3 +72,26 @@ def dense_solve(rows, b, field):
 def vector_minpoly(a, v):
     """Minimal annihilator of the Krylov stream v, A v, A^2 v, ..."""
     return _krylov_minpoly(materialize(a), a.field, v)
+
+
+def reference_pack(c, w):
+    """Kronecker packing one coefficient at a time: w little-endian bytes."""
+    return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in c]),
+                          "little")
+
+
+def reference_unpack(x, w, n, p):
+    """The first n w-byte slots of x one at a time, reduced mod p."""
+    b = x.to_bytes(n * w, "little")
+    return [int.from_bytes(b[i:i + w], "little") % p
+            for i in range(0, n * w, w)]
+
+
+def reference_vec_bytes(v):
+    """Length, then each element, as 8 little-endian bytes apiece."""
+    return b"".join([x.to_bytes(8, "little") for x in (len(v), *v)])
+
+
+def reference_parse_vec(field, tok, lineno):
+    """A comma-joined vector parsed and range-checked token by token."""
+    return tuple(_parse_scalar(field, part, lineno) for part in tok.split(","))

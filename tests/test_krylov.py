@@ -350,11 +350,11 @@ def test_packing_starts_at_the_size_rule(monkeypatch):
     # The sequence of a dense u takes s - 1 transposed products and one
     # packed product per s terms.
     calls, slots, transposes = [], [], []
-    read, transpose = krylov._slots, SparseMatrix.apply_transpose
+    read, transpose = krylov._unpack, SparseMatrix.apply_transpose
     monkeypatch.setattr(krylov, "_pack",
                         lambda c, w: calls.append(len(c)) or _pack(c, w))
-    monkeypatch.setattr(krylov, "_slots",
-                        lambda x, w, k: slots.append(k) or read(x, w, k))
+    monkeypatch.setattr(krylov, "_unpack",
+                        lambda x, w, k, p: slots.append(k) or read(x, w, k, p))
     monkeypatch.setattr(SparseMatrix, "apply_transpose",
                         lambda a, x: transposes.append(1) or transpose(a, x))
     f = PrimeField(10**9 + 7)

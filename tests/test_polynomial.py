@@ -1,3 +1,4 @@
+from array import array
 from random import Random
 
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from certilin import (CostMeter, DomainError, Poly, PrimeField, UsageError,
                       berlekamp_massey, poly_gcd, poly_lcm, xgcd)
 from certilin.messages import POLY
-from certilin.polynomial import _HGCD_MIN, NEG_INF, _mat_mul, _slot_bytes
+from certilin.polynomial import (_HGCD_MIN, NEG_INF, _mat_mul, _pack,
+                                 _slot_bytes, _unpack)
 
 from conftest import PRIME_BIG
+from helpers import reference_pack, reference_unpack
 
 
 def P(field, *coeffs):
@@ -625,3 +628,28 @@ def test_kronecker_matrix_product_matches_schoolbook():
     got = _mat_mul((ones,) * 4, [(ones, ones)], p)
     want = [2 * (min(i, 2 * n - 2 - i) + 1) * (p - 1) ** 2 % p for i in range(2 * n - 1)]
     assert got == [want, want]
+
+
+def test_bulk_pack_and_unpack_match_the_per_coefficient_reference():
+    # Slots go through 8-byte machine words; a slot of w bytes is one to
+    # three of them.  Every width _slot_bytes gives these primes for lists
+    # of up to 300 coefficients, every length from 0 to 300.
+    assert array("Q").itemsize == 8
+    widths = {}
+    for p in (3, 101, 10**6 + 3, 10**9 + 7, 2**62 - 57):
+        for n in range(1, 301):
+            widths.setdefault((p, _slot_bytes(p, n)), n)
+    assert {w for _, w in widths} >= {1, 8, 9, 16, 17}
+    rng = Random(17)
+    for p, w in widths:
+        for n in range(301):
+            c = [rng.randrange(p) for _ in range(n)]
+            if n:
+                c[rng.randrange(n)] = p - 1
+            x = _pack(c, w)
+            assert x == reference_pack(c, w)
+            assert _unpack(x, w, n, p) == c
+            # Any slot contents, all-ones slots included, as a product's
+            # unreduced coefficients fill them.
+            for y in (rng.getrandbits(8 * w * n), 256 ** (w * n) - 1):
+                assert _unpack(y, w, n, p) == reference_unpack(y, w, n, p)

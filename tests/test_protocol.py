@@ -8,9 +8,10 @@ from certilin import (Accept, BadChallenge, FieldTooSmallError,
                       GammaMatrix, GeneratorPair, HonestProver, Poly,
                       PrimeField, ProductOp, ProtocolInternalError, Reject,
                       SingularResult, SparseMatrix, UsageError, budget_report,
-                      certify_charpoly, certify_det_simple, certify_generator,
-                      certify_minpoly, fiat_shamir, field_size_bound,
-                      oracle_charpoly, oracle_det, oracle_minpoly)
+                      certify_charpoly, certify_det_diag, certify_det_gamma,
+                      certify_det_simple, certify_generator, certify_minpoly,
+                      fiat_shamir, field_size_bound, oracle_charpoly,
+                      oracle_det, oracle_minpoly)
 from certilin.challenges import RandomChallenges
 from certilin.harness import (gen_singular, gen_sparse,
                               random_nonsingular_dense_checked, run_protocol)
@@ -393,6 +394,24 @@ def test_sessions_take_the_matrix_in_sparse_form(fbig):
         with pytest.raises(UsageError, match="sparse form"):
             run_protocol("det-gamma", public, HonestProver(fbig, Random(1)),
                          Random(2))
+
+
+def test_every_certify_entry_point_takes_the_sparse_form(fbig):
+    # Called directly, not through fiat_shamir or run_protocol; the matrix
+    # check comes before certify_generator's projection checks.
+    a = random_nonsingular_dense_checked(fbig, 4, Random(141), 0.5)
+    dense = a.to_dense()
+    calls = [lambda **kw: certify_generator(dense, None, None, **kw),
+             lambda **kw: certify_generator(dense, [1] * 4, [1] * 4, **kw),
+             lambda **kw: certify_minpoly(dense, **kw),
+             lambda **kw: certify_det_diag(dense, **kw),
+             lambda **kw: certify_det_gamma(dense, **kw),
+             lambda **kw: certify_det_simple(dense, **kw),
+             lambda **kw: certify_charpoly(dense, **kw)]
+    for call in calls:
+        with pytest.raises(UsageError, match="sparse form"):
+            call(prover=HonestProver(fbig, Random(1)),
+                 challenges=RandomChallenges(Random(2)))
 
 
 # -- field gates across protocols ---------------------------------------------------

@@ -16,12 +16,14 @@ from certilin.harness import (_corrupt_payload_byte, gen_nonsingular,
                               random_nonsingular_dense_checked, run_protocol,
                               sample_projections)
 from certilin.messages import (DiagonalAnnounce, GammaAnnounce,
-                               SecondaryProjection, message_bytes,
-                               render_message, render_outcome, wire_cost)
+                               SecondaryProjection, _parse_vec, _vec_bytes,
+                               message_bytes, render_message, render_outcome,
+                               wire_cost)
 from certilin.protocol import PROTOCOL_IDS
 from certilin.provers import SingularDenialProver, WrongGeneratorProver
 
-from helpers import ScriptedChallenges, identity_matrix
+from helpers import (ScriptedChallenges, identity_matrix,
+                     reference_parse_vec, reference_vec_bytes)
 
 
 @pytest.fixture()
@@ -478,3 +480,32 @@ def test_replay_rejects_an_edited_setup_line(fbig, matrix, protocol, prefix,
     out, meter = verify_noninteractive(parsed, matrix)
     assert out == Reject(reason)
     assert budget_report(replace(parsed, verifier_meter=meter), matrix).ops_ok
+
+
+def test_vector_wire_format_matches_the_per_element_reference():
+    rng = Random(23)
+    for p in (3, 10**9 + 7, 2**62 - 57):
+        f = PrimeField(p)
+        for n in (1, 2, 7, 8, 9, 300, 800):
+            v = tuple(rng.randrange(p) for _ in range(n))
+            assert _vec_bytes(v) == reference_vec_bytes(v)
+            tok = ",".join(map(str, v))
+            assert _parse_vec(f, tok, 3) == reference_parse_vec(f, tok, 3) == v
+    assert _vec_bytes(()) == reference_vec_bytes(())
+    assert _vec_bytes((2**64 - 1,)) == reference_vec_bytes((2**64 - 1,))
+    for bad in (-1, 2**64):
+        for encode in (_vec_bytes, reference_vec_bytes):
+            with pytest.raises(OverflowError):
+                encode((1, bad, 2))
+    # Each malformed token fails with the per-token parser's message and
+    # line: a leading zero, a sign, an empty part, a trailing comma, a
+    # value equal to p, a non-digit and a 20-digit value.
+    f = PrimeField(101)
+    for tok in ("1,07,3", "+7", "1,,2", "1,2,", "5,101", "1,x,2", "",
+                "3," + "1" * 20):
+        with pytest.raises(ParseError) as got:
+            _parse_vec(f, tok, 9)
+        with pytest.raises(ParseError) as want:
+            reference_parse_vec(f, tok, 9)
+        assert (got.value.line, str(got.value)) == (want.value.line,
+                                                    str(want.value))
