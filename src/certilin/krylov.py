@@ -21,7 +21,12 @@ unpacked once.  The sequence uses the transposition principle (Bostan,
 Lecerf & Schost 2003): u^T A^(i+r) v = ((A^T)^r u) . (A^i v), so s - 1
 unmetered transposed products pack the rows (A^T)^r u, r < s, per
 coordinate, and each giant step gives the next s terms in one sum of
-big-by-small products instead of s dot products.  A projection u with at
+big-by-small products instead of s dot products.  ``polynomial._pack``
+and ``_unpack`` convert whole lists between ints and slots of
+little-endian bytes, whatever the host's byte order, through 8-byte
+machine words: every packed operand is reduced to canonical residues
+first, and each unpack returns residues mod p, so no reduction pass
+follows it.  A projection u with at
 most one nonzero entry (det-gamma's e_1) takes each sequence term as one
 product.  Results and matvec counts are the same bit for bit, and the
 meter still charges each term the n multiplications and n - 1 additions

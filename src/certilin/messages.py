@@ -137,7 +137,7 @@ def _parse_poly(field: PrimeField, tok: str, lineno: int) -> Poly:
     # One text per polynomial: only the zero polynomial ends in a zero.
     if coeffs[-1] == 0 and tok != "0":
         raise ParseError(lineno, f"trailing zero coefficient: {tok!r}")
-    return Poly(field, coeffs)
+    return Poly(field, coeffs if tok != "0" else (), _canonical=True)
 
 
 class Encoding(NamedTuple):

@@ -198,7 +198,7 @@ class Poly:
     def to_text(self) -> str:
         if not self.coeffs:
             return "0"
-        return ",".join(str(c) for c in self.coeffs)
+        return ",".join(map(str, self.coeffs))
 
     def wire_cost(self) -> int:
         """Field elements needed on the wire (monic leading 1 is implicit)."""
