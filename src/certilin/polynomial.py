@@ -290,8 +290,9 @@ def _step(r0: list, r1: list, s0: list, s1: list, t0: list, t1: list,
 # ``array("Q")`` of 8-byte machine words (byteswapped on a big-endian
 # host) and a few strided ``bytearray`` copies, one per byte of the word
 # or slot, never one ``to_bytes``/``from_bytes`` per coefficient.  So
-# ``_pack`` takes canonical coefficients in [0, 2**64), as every caller's
-# residues mod p < 2**62 are, and raises OverflowError otherwise.
+# ``_pack`` takes canonical residues, which every caller passes (below
+# p < 2**62, they fit any slot), and raises OverflowError for a value
+# outside [0, 2**64).
 
 # Pairs with a first operand of at most this many coefficients run the
 # classical loop; above it the half-gcd recursion splits the work.
