@@ -303,6 +303,8 @@ def run_selftest(max_n: int, seeds: int, p: int, seed: int = 0) -> SelftestRepor
     cap = oracle_cap()
     if max_n > cap:
         raise UsageError(f"selftest needs max_n <= oracle cap ({cap})")
+    if seeds < 1:
+        raise UsageError("seeds must be >= 1")
     ladder = [n for n in (2, 3, 4, 6, 8, 10, 12) if n <= max_n] or [max_n]
 
     for k in range(seeds):

@@ -3,7 +3,9 @@
 Everything here is exact O(n^3)-ish elimination over Z_p, capped at a
 configurable dimension (default 64, overridable through the
 CERTILIN_ORACLE_CAP environment variable).  The characteristic polynomial
-is det(x*I - A) at n+1 points, interpolated.  One dependency search gives
+is det(x*I - A) at n+1 points, interpolated; the same eliminations give the
+leading (n-1)-block's determinants, so the charpoly of that block comes
+with it through the same Lagrange basis.  One dependency search gives
 the rest: a kernel vector is the first linear dependency among the
 columns, and the minimal polynomial is the lcm of the unit vectors' Krylov
 annihilators (Wiedemann 1986), each found by multiplying with the
@@ -68,17 +70,28 @@ def _cached(a, key, compute):
 # -- elimination primitives -----------------------------------------------
 
 
-def dense_det(rows: list, field: PrimeField) -> int:
-    """Determinant by fraction-free-enough Gaussian elimination."""
+def dense_det(rows: list, field: PrimeField) -> tuple:
+    """(det M, det of M's leading (n-1)-block) from one Gaussian elimination.
+
+    The block's elimination is the whole matrix's on its first n-1 columns
+    as long as no pivot comes from the last row, so its determinant is the
+    signed pivot product just before the last column.  It is 0 when some
+    earlier column offers only the last row as pivot (or none), and 1 when
+    n = 1.
+    """
     p = field.p
     n = len(rows)
     m = [row[:] for row in rows]
-    det = 1
+    det = lead = 1
     for col in range(n):
+        if col == n - 1 and lead:
+            lead = det % p
         piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
-            return 0
+            return 0, (lead if col == n - 1 else 0)
         if piv != col:
+            if piv == n - 1:
+                lead = 0
             m[piv], m[col] = m[col], m[piv]
             det = -det
         pval = m[col][col]
@@ -91,7 +104,7 @@ def dense_det(rows: list, field: PrimeField) -> int:
                 mr, mc = m[r], m[col]
                 for c in range(col, n):
                     mr[c] = (mr[c] - f * mc[c]) % p
-    return det % p
+    return det % p, lead
 
 
 def _first_dependency(field: PrimeField, vectors):
@@ -135,54 +148,75 @@ def dense_kernel(rows: list, field: PrimeField):
 # -- spectral oracles --------------------------------------------------------
 
 
-def _interpolate(field: PrimeField, xs: list, ys: list) -> Poly:
-    """Lagrange interpolation through distinct points."""
+def _interpolate(field: PrimeField, xs: list, *value_lists) -> list:
+    """Lagrange interpolation through distinct points, one Poly per value list.
+
+    The basis polynomials prod_{j != i} (X - x_j) and their inverse values
+    at x_i are built once and shared by every value list.
+    """
     p = field.p
     full = [1]   # prod (X - x_i), low to high
     for x in xs:
         full = [(b - x * a) % p for a, b in zip(full + [0], [0] + full)]
-    acc = [0] * len(xs)   # high to low
-    for xi, yi in zip(xs, ys):
-        # basis = full / (X - xi) by synthetic division, high to low.
-        basis, carry = [], 0
+    basis, invs = [], []
+    for xi in xs:
+        # full / (X - xi) by synthetic division, high to low.
+        row, carry = [], 0
         for c in reversed(full[1:]):
             carry = (c + xi * carry) % p
-            basis.append(carry)
+            row.append(carry)
         denom = 0
-        for c in basis:
+        for c in row:
             denom = (denom * xi + c) % p
-        k = yi * pow(denom, -1, p) % p
-        acc = [(a + k * c) % p for a, c in zip(acc, basis)]
-    return Poly(field, acc[::-1])
+        basis.append(row)
+        invs.append(pow(denom, -1, p))
+    cols = list(zip(*basis))[::-1]   # coefficient k's column, low to high
+    polys = []
+    for ys in value_lists:
+        ks = [y * inv % p for y, inv in zip(ys, invs)]
+        polys.append(Poly(field, [sum(map(mul, col, ks)) % p for col in cols]))
+    return polys
 
 
 def oracle_det(a) -> int:
-    return _cached(a, "det", lambda: dense_det(materialize(a), a.field))
+    return _cached(a, "det", lambda: dense_det(materialize(a), a.field)[0])
 
 
-def dense_charpoly(rows: list, field: PrimeField) -> Poly:
-    """det(x*I - M) via evaluation at n+1 points and interpolation."""
+def dense_charpoly(rows: list, field: PrimeField) -> tuple:
+    """(det(x*I - M), det(x*I - M')) for M' the leading (n-1)-block of M.
+
+    The leading block of x*I - M is x*I - M', so one dense_det at each of
+    the n+1 points 0..n samples both; the two value lists are interpolated
+    through one shared Lagrange basis.  Each interpolant must be monic of
+    its degree (n and n-1), or IntegrityError is raised.
+    """
     n = len(rows)
     p = field.p
     if p <= n:
         raise UsageError("charpoly oracle needs p > n for distinct sample points")
     neg = [[(-v) % p for v in row] for row in rows]
-    xs, ys = [], []
-    for x in range(n + 1):
+    xs, full, lead = list(range(n + 1)), [], []
+    for x in xs:
         shifted = [row[:] for row in neg]
         for i in range(n):
             shifted[i][i] = (x + neg[i][i]) % p
-        xs.append(x)
-        ys.append(dense_det(shifted, field))
-    poly = _interpolate(field, xs, ys)
-    if not (poly.is_monic() and poly.degree == n):
+        d, d_lead = dense_det(shifted, field)
+        full.append(d)
+        lead.append(d_lead)
+    chi, chi_minor = _interpolate(field, xs, full, lead)
+    if not (chi.is_monic() and chi.degree == n):
         raise IntegrityError(f"interpolated charpoly is not monic of degree {n}")
-    return poly
+    # An empty matrix has no leading block; its pair is (1, 1).
+    if not (chi_minor.is_monic() and chi_minor.degree == max(n - 1, 0)):
+        raise IntegrityError(
+            f"interpolated minor charpoly is not monic of degree {n - 1}")
+    return chi, chi_minor
 
 
 def oracle_charpoly(a) -> Poly:
     """det(x*I - A), densely."""
-    return _cached(a, "charpoly", lambda: dense_charpoly(materialize(a), a.field))
+    return _cached(a, "charpoly",
+                   lambda: dense_charpoly(materialize(a), a.field)[0])
 
 
 def _krylov_minpoly(rows: list, field: PrimeField, v: list) -> Poly:

@@ -173,7 +173,11 @@ class HonestProver:
     # -- simple determinant protocol ------------------------------------------
 
     def choose_simple(self, box: LinearOp):
-        """Gamma's (s, t); opens the session on B = A*Gamma, e_n, (chi_B, chi_minor)."""
+        """Gamma's (s, t); opens the session on B = A*Gamma, e_n, (chi_B, chi_minor).
+
+        chi_minor is the charpoly of B's leading (n-1)-block; one
+        dense_charpoly call gives both, one elimination per sample point.
+        """
         field, n = self.field, box.n
         dense = materialize(box)
         p = field.p
@@ -186,8 +190,7 @@ class HonestProver:
             # B = A*Gamma by rows: Gamma is t*I, -1 above the diagonal, s at (n-1, 0).
             rows = [[(t * r[0] + s * r[-1]) % p]
                     + [(t * x - y) % p for x, y in zip(r[1:], r)] for r in dense]
-            char_full = dense_charpoly(rows, field)
-            char_minor = dense_charpoly([r[:n - 1] for r in rows[:n - 1]], field)
+            char_full, char_minor = dense_charpoly(rows, field)
             if not self._accept_preconditioner(
                     poly_gcd(char_full, char_minor).degree == 0):
                 continue

@@ -1,8 +1,8 @@
 """Test-only helpers: an identity matrix, a seeded interactive session, a
-scripted challenge source, two dense references (a linear solve and a
-vector's Krylov annihilator) and per-element references for the bulk
-int/bytes conversions (Kronecker slots, vector wire bytes and vector
-parsing) that no library path runs."""
+scripted challenge source, three dense references (a linear solve, a
+single-matrix determinant and a vector's Krylov annihilator) and
+per-element references for the bulk int/bytes conversions (Kronecker
+slots, vector wire bytes and vector parsing) that no library path runs."""
 
 from random import Random
 
@@ -67,6 +67,33 @@ def dense_solve(rows, b, field):
     for r, col in enumerate(pivots):
         x[col] = m[r][n]
     return x
+
+
+def reference_det(rows, field):
+    """Determinant of one matrix by Gaussian elimination, the whole matrix
+    only: the reference for dense_det's pair."""
+    p = field.p
+    n = len(rows)
+    m = [row[:] for row in rows]
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[piv], m[col] = m[col], m[piv]
+            det = -det
+        pval = m[col][col]
+        det = det * pval % p
+        inv = pow(pval, -1, p)
+        for r in range(col + 1, n):
+            f = m[r][col]
+            if f:
+                f = f * inv % p
+                mr, mc = m[r], m[col]
+                for c in range(col, n):
+                    mr[c] = (mr[c] - f * mc[c]) % p
+    return det % p
 
 
 def vector_minpoly(a, v):

@@ -288,7 +288,7 @@ def test_criterion_8_gamma_det_and_residuals():
     for n in range(1, 9):
         for _ in range(30):
             g = GammaMatrix(FIELD, n, t=FIELD.sample(rng), s=FIELD.sample(rng))
-            assert gamma_det(g) == dense_det(materialize(g), FIELD)
+            assert gamma_det(g) == dense_det(materialize(g), FIELD)[0]
     count = 0
     while count < 200:
         n = rng.randrange(2, 11)

@@ -79,7 +79,7 @@ def test_gamma_det_matches_dense(f101):
     for n in range(1, 9):
         for _ in range(100):
             g = GammaMatrix(f101, n, t=rng.randrange(101), s=rng.randrange(101))
-            assert gamma_det(g) == dense_det(materialize(g), f101)
+            assert gamma_det(g) == dense_det(materialize(g), f101)[0]
 
 
 def test_gamma_det_op_count(f101):

@@ -245,6 +245,14 @@ def test_selftest_small():
     assert "0 failures" in out
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_selftest_without_seeds_is_a_usage_error(seeds):
+    # No seed runs no cross-check, so it cannot report "0 failures".
+    code, out, err = run_cli("selftest", "--max-n", "6", "--seeds", seeds)
+    assert (code, out) == (1, "")
+    assert err == "error: seeds must be >= 1\n"
+
+
 def test_selftest_small_field_skips():
     code, out, _ = run_cli("selftest", "--max-n", "12", "--seeds", "7",
                            "--modulus", "101")

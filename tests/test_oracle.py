@@ -9,10 +9,10 @@ from certilin import (IntegrityError, OracleCapError, Poly, PrimeField,
                       oracle_minpoly)
 from certilin import oracle
 from certilin.blackbox import matvec
-from certilin.oracle import _interpolate, materialize
+from certilin.oracle import _interpolate, dense_det, materialize
 from certilin.harness import gen_sparse
 
-from helpers import dense_solve, identity_matrix, vector_minpoly
+from helpers import dense_solve, identity_matrix, reference_det, vector_minpoly
 
 
 def P(field, *coeffs):
@@ -108,16 +108,79 @@ def interpolation_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_interpolate_recovers_polynomials(case):
     # A polynomial of degree <= n (the zero polynomial included) comes back
-    # from its values at n+1 distinct points.
+    # from its values at n+1 distinct points, also as the second of two
+    # value lists sharing one basis.
     poly, xs = case
-    assert _interpolate(poly.field, xs, [poly.eval(x) for x in xs]) == poly
+    plus_one = poly + Poly.one(poly.field)
+    assert _interpolate(poly.field, xs, [poly.eval(x) for x in xs],
+                        [plus_one.eval(x) for x in xs]) == [poly, plus_one]
 
 
 def test_charpoly_checks_its_interpolant(f101, monkeypatch):
-    # A charpoly that is not monic of degree n raises, also under python -O.
-    monkeypatch.setattr(oracle, "dense_det", lambda rows, field: 0)
-    with pytest.raises(IntegrityError):
+    # A charpoly that is not monic of degree n raises, also under python -O,
+    # and so does a minor charpoly that is not monic of degree n - 1.
+    real_det = oracle.dense_det
+    monkeypatch.setattr(oracle, "dense_det", lambda rows, field: (0, 0))
+    with pytest.raises(IntegrityError, match="^interpolated charpoly"):
         oracle.dense_charpoly([[1, 2], [3, 4]], f101)
+    monkeypatch.setattr(oracle, "dense_det",
+                        lambda rows, field: (real_det(rows, field)[0], 0))
+    with pytest.raises(IntegrityError, match="minor"):
+        oracle.dense_charpoly([[1, 2], [3, 4]], f101)
+
+
+def _random_rows(rng, n, p, density):
+    return [[rng.randrange(1, p) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(n)]
+
+
+def _check_det_pair(rows, field):
+    block = [r[:-1] for r in rows[:-1]]
+    assert dense_det(rows, field) == (reference_det(rows, field),
+                                      reference_det(block, field))
+
+
+def test_det_pair_matches_separate_eliminations():
+    # dense_det's pair from one elimination equals two eliminations of
+    # their own: of the whole matrix and of its leading (n-1)-block.
+    rng = Random(19)
+    for p in (7, 101, 1_000_003):
+        field = PrimeField(p)
+        for n in range(1, 13):
+            for density in (0.0, 0.2, 0.5, 1.0):
+                for _ in range(4):
+                    _check_det_pair(_random_rows(rng, n, p, density), field)
+    _check_det_pair(_random_rows(rng, 64, 1_000_003, 0.3), PrimeField(1_000_003))
+
+
+@pytest.mark.parametrize("p", [7, 101, 1_000_003])
+def test_det_pair_forced_cases(p):
+    field = PrimeField(p)
+    rng = Random(p)
+    # n = 1: the empty block's determinant is 1.
+    assert dense_det([[0]], field) == (0, 1)
+    assert dense_det([[3]], field) == (3, 1)
+    for n in range(2, 13):
+        # A nonsingular whole whose leading block is singular because its
+        # first column offers only the last row as pivot.
+        rows = _random_rows(rng, n, p, 0.7)
+        for r in rows[:-1]:
+            r[0] = 0
+        rows[-1][0] = 1
+        while reference_det(rows, field) == 0:
+            rows[rng.randrange(n)][rng.randrange(1, n)] = rng.randrange(1, p)
+        assert reference_det([r[:-1] for r in rows[:-1]], field) == 0
+        assert dense_det(rows, field)[1] == 0
+        _check_det_pair(rows, field)
+        # A singular whole: a zero last row, which never pivots, and a
+        # repeated row.
+        rows = _random_rows(rng, n, p, 0.7)
+        rows[-1] = [0] * n
+        _check_det_pair(rows, field)
+        rows = _random_rows(rng, n, p, 0.7)
+        rows[-1] = rows[0][:]
+        assert dense_det(rows, field)[0] == 0
+        _check_det_pair(rows, field)
 
 
 def test_minpoly_annihilates(f101):

@@ -254,7 +254,7 @@ def test_choose_simple_rows_are_a_times_gamma(n, seed, s, t):
     rows = materialize(ProductOp(a, GammaMatrix(field, n, t=got_t, s=got_s)))
     minor = [r[:n - 1] for r in rows[:n - 1]]
     assert prover.committed_pair() == GeneratorPair(
-        dense_charpoly(rows, field), dense_charpoly(minor, field))
+        dense_charpoly(rows, field)[0], dense_charpoly(minor, field)[0])
 
 
 def test_simple_solution_at_a_root_of_the_true_chi_is_none(f101):
@@ -269,7 +269,7 @@ def test_simple_solution_at_a_root_of_the_true_chi_is_none(f101):
     prover = adversarial_prover("singular_denial")(f101, Random(130))
     s, t = prover.choose_simple(a)
     rows = materialize(ProductOp(a, GammaMatrix(f101, n, t=t, s=s)))
-    chi = dense_charpoly(rows, f101)
+    chi = dense_charpoly(rows, f101)[0]
     e_n = [0] * (n - 1) + [1]
     consistent = [
         r for r in range(f101.p) if chi.eval(r) == 0 and dense_solve(
