@@ -324,61 +324,53 @@ class ShiftOp(LinearOp):
 
 
 def parse_sms(text: str) -> SparseMatrix:
-    """Parse the SMS-style text format; raises ParseError with line numbers."""
+    """Parse the SMS-style text format; raises ParseError with line numbers.
+
+    Every token is an ASCII decimal integer with an optional sign.
+    """
     lines = text.splitlines()
-    idx = 0
-
-    def next_line():
-        nonlocal idx
-        while idx < len(lines):
-            raw = lines[idx]
-            idx += 1
-            if raw.strip():
-                return idx, raw.split()
-        return idx, None
-
-    lineno, toks = next_line()
-    if toks is None:
-        raise ParseError(1, "empty file")
-    if len(toks) != 3:
-        raise ParseError(lineno, "header must be 'n n p'")
-    try:
-        n1, n2, p = (int(t) for t in toks)
-    except ValueError:
-        raise ParseError(lineno, "non-integer token in header") from None
-    if n1 != n2:
-        raise ParseError(lineno, f"matrix must be square, got {n1} x {n2}")
-    if n1 < 1:
-        raise ParseError(lineno, "dimension must be positive")
-    try:
-        field = PrimeField(p)
-    except Exception as exc:
-        raise ParseError(lineno, f"bad modulus: {exc}") from None
-
+    n = None
     entries = []
     terminated = False
-    while True:
-        lineno, toks = next_line()
-        if toks is None:
-            break
+    for lineno, raw in enumerate(lines, start=1):
+        toks = raw.split()
+        if not toks:
+            continue
+        if terminated:
+            raise ParseError(lineno, "content after terminator")
         if len(toks) != 3:
-            raise ParseError(lineno, "entry must be 'i j v'")
+            raise ParseError(lineno, "header must be 'n n p'" if n is None
+                             else "entry must be 'i j v'")
+        word = "".join(toks)
         try:
-            i, j, v = (int(t) for t in toks)
+            # int() alone would also take other scripts' digits and "1_0".
+            if not word.isascii() or "_" in word:
+                raise ValueError
+            i, j, v = map(int, toks)
         except ValueError:
-            raise ParseError(lineno, "non-integer token in entry") from None
-        if i == 0 and j == 0 and v == 0:
+            raise ParseError(lineno, "non-integer token in "
+                             + ("header" if n is None else "entry")) from None
+        if n is None:
+            if i != j:
+                raise ParseError(lineno, f"matrix must be square, got {i} x {j}")
+            if i < 1:
+                raise ParseError(lineno, "dimension must be positive")
+            try:
+                field = PrimeField(v)
+            except Exception as exc:
+                raise ParseError(lineno, f"bad modulus: {exc}") from None
+            n = i
+        elif i == 0 and j == 0 and v == 0:
             terminated = True
-            break
-        if not (1 <= i <= n1 and 1 <= j <= n1):
-            raise ParseError(lineno, f"coordinates ({i},{j}) out of range for n={n1}")
-        entries.append((i - 1, j - 1, v))
+        elif 1 <= i <= n and 1 <= j <= n:
+            entries.append((i - 1, j - 1, v))
+        else:
+            raise ParseError(lineno, f"coordinates ({i},{j}) out of range for n={n}")
+    if n is None:
+        raise ParseError(1, "empty file")
     if not terminated:
-        raise ParseError(lineno, "missing '0 0 0' terminator")
-    lineno, toks = next_line()
-    if toks is not None:
-        raise ParseError(lineno, "content after terminator")
-    return SparseMatrix(field, n1, entries)
+        raise ParseError(len(lines), "missing '0 0 0' terminator")
+    return SparseMatrix(field, n, entries)
 
 
 def emit_sms(a: SparseMatrix) -> str:

@@ -162,8 +162,7 @@ def cmd_bench(args) -> int:
     except ValueError:
         raise UsageError(f"sizes must be comma-separated integers, got {args.sizes!r}") from None
     if not sizes:
-        print("error: empty size list", file=sys.stderr)
-        return 1
+        raise UsageError("empty size list")
     _check_density(args.density)
     rep = _Report(args.format)
     ok = True

@@ -76,11 +76,8 @@ def gen_singular(field: PrimeField, n: int, rng: Random,
         return SparseMatrix(field, 1, [])
     while True:
         a = gen_sparse(field, n, density, rng)
-        rows = a.to_dense()
-        rows[n - 1] = rows[0][:]
-        entries = [(i, j, rows[i][j]) for i in range(n) for j in range(n)
-                   if rows[i][j]]
-        out = SparseMatrix(field, n, entries)
+        out = SparseMatrix(field, n, [e for e in a.entries if e[0] != n - 1]
+                           + [(n - 1, j, v) for i, j, v in a.entries if i == 0])
         if out.nnz:
             return out
 

@@ -279,12 +279,9 @@ class Transcript:
     verifier_meter: CostMeter | None = None
     prover_meter: CostMeter | None = None
 
-    def header_line(self) -> str:
-        return (f"{TRANSCRIPT_MAGIC} {self.protocol_id} n={self.n} "
-                f"p={self.p} matrix={self.matrix_digest}")
-
     def render(self) -> str:
-        lines = [self.header_line()]
+        lines = [f"{TRANSCRIPT_MAGIC} {self.protocol_id} n={self.n} "
+                 f"p={self.p} matrix={self.matrix_digest}"]
         for role, msg in self.messages:
             lines.append(f"{role} {render_message(msg)}")
         lines.append(f"outcome {render_outcome(self.outcome)}")

@@ -39,15 +39,11 @@ def oracle_cap() -> int:
         raise UsageError(f"CERTILIN_ORACLE_CAP must be an int, got {raw!r}") from None
 
 
-def _check_cap(n: int):
-    cap = oracle_cap()
-    if n > cap:
-        raise OracleCapError(f"dense oracle capped at n <= {cap}, got n = {n}")
-
-
 def materialize(op: LinearOp) -> list:
     """Dense row-major copy of a black-box operator (meter-free)."""
-    _check_cap(op.n)
+    cap = oracle_cap()
+    if op.n > cap:
+        raise OracleCapError(f"dense oracle capped at n <= {cap}, got n = {op.n}")
     if hasattr(op, "to_dense"):
         return op.to_dense()
     n = op.n

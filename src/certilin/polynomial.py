@@ -130,12 +130,8 @@ class Poly:
         return Poly(f, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        f = self._peer(other)
-        p = f.p
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return Poly(f, [(x - y) % p for x, y in zip(a, b)])
+        self._peer(other)
+        return self + other.scale(-1)
 
     def __mul__(self, other: "Poly") -> "Poly":
         f = self._peer(other)

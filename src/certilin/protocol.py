@@ -127,12 +127,9 @@ class _Run:
         material = bytes(self._material) if self._need_material else b""
         return self.challenges.draw(self.field, material)
 
-    def prover_message(self, kind, producer):
-        return self._take("prover", kind, producer)
-
-    def prover_maybe(self, kind, producer):
-        """An optional prover message: None when the prover sends none."""
-        return self._take("prover", kind, producer, optional=True)
+    def prover_message(self, kind, producer, optional=False):
+        """A prover message; an optional one is None when the prover sends none."""
+        return self._take("prover", kind, producer, optional)
 
     def solution(self, producer):
         """The prover's solution message.
@@ -275,7 +272,7 @@ def _witness_branch(run, box, prover):
         w = prover.singularity_witness(box)
         return None if w is None else SingularityWitness(tuple(w))
 
-    msg = run.prover_maybe("witness", produce)
+    msg = run.prover_message("witness", produce, optional=True)
     if msg is None:
         return None
     w = list(msg.w)
@@ -323,7 +320,7 @@ def _flow_minpoly(run, a, prover, u, v, perfectly_complete):
         return None if extra is None else SecondaryProjection(
             tuple(extra[0]), tuple(extra[1]))
 
-    msg = (run.prover_maybe("projection2", produce_secondary)
+    msg = (run.prover_message("projection2", produce_secondary, optional=True)
            if perfectly_complete else None)
     first = _fauv_core(run, a, prover, u, v, merged=True)
     if msg is None:

@@ -180,16 +180,13 @@ class HonestProver:
         """
         field, n = self.field, box.n
         dense = materialize(box)
-        p = field.p
         for _ in range(PRECONDITIONER_TRIES):
             s = field.sample(self.rng, self.meter)
             t = field.sample(self.rng, self.meter)
             gamma = GammaMatrix(field, n, t=t, s=s)
             if gamma_det(gamma) == 0:
                 continue
-            # B = A*Gamma by rows: Gamma is t*I, -1 above the diagonal, s at (n-1, 0).
-            rows = [[(t * r[0] + s * r[-1]) % p]
-                    + [(t * x - y) % p for x, y in zip(r[1:], r)] for r in dense]
+            rows = [gamma.apply_transpose(r) for r in dense]  # rows of A*Gamma
             char_full, char_minor = dense_charpoly(rows, field)
             if not self._accept_preconditioner(
                     poly_gcd(char_full, char_minor).degree == 0):
@@ -318,15 +315,12 @@ class SingularDenialProver(HonestProver):
         coeffs.append(1)
         return Poly(field, coeffs)
 
-    def _forge_full(self, box):
+    def _corrupt_pair(self, pair, box):
         field, n = self.field, box.n
         forged = self._random_full_degree(n)
         res = _coprime_perturb(
             field, Poly(field, [field.sample(self.rng) for _ in range(n)]), forged)
         return GeneratorPair(forged, res)
-
-    def _corrupt_pair(self, pair, box):
-        return self._forge_full(box)
 
     def _corrupt_simple(self, pair, box):
         # The true minor, perturbed, under a random full-degree chi.

@@ -183,10 +183,12 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_sms("2 2 7\n1 x 1\n0 0 0")
     assert e.value.line == 2
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as e:
         parse_sms("2 2 7\n1 1 1")  # missing terminator
-    with pytest.raises(ParseError):
+    assert e.value.line == 2
+    with pytest.raises(ParseError) as e:
         parse_sms("2 2 6\n0 0 0")  # composite modulus
+    assert e.value.line == 1
     with pytest.raises(ParseError) as e:
         parse_sms("2 2 7\n0 0 0\n1 1 1")  # content after terminator
     assert e.value.line == 3
@@ -194,6 +196,54 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_sms("2 2 7\n1 1 3\n0 0 0\n\n\n5 5 5\n")
     assert e.value.line == 6
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "empty file"),
+    ("\n  \n", 1, "empty file"),
+    ("2 2\n0 0 0", 1, "header must be 'n n p'"),
+    ("2 2 7 7\n0 0 0", 1, "header must be 'n n p'"),
+    ("\n2 x 7\n0 0 0", 2, "non-integer token in header"),
+    ("2 3 7\n0 0 0", 1, "matrix must be square, got 2 x 3"),
+    ("0 0 7\n0 0 0", 1, "dimension must be positive"),
+    ("-2 -2 7\n0 0 0", 1, "dimension must be positive"),
+    ("2 2 6\n0 0 0", 1, "bad modulus: modulus 6 is not prime"),
+    ("2 2 7\n1 1\n0 0 0", 2, "entry must be 'i j v'"),
+    ("2 2 7\n\n1 1 1 1\n0 0 0", 3, "entry must be 'i j v'"),
+    ("2 2 7\n1 x 1\n0 0 0", 2, "non-integer token in entry"),
+    ("2 2 7\n3 1 1\n0 0 0", 2, "coordinates (3,1) out of range for n=2"),
+    ("2 2 7\n1 0 1\n0 0 0", 2, "coordinates (1,0) out of range for n=2"),
+    ("2 2 7", 1, "missing '0 0 0' terminator"),
+    ("2 2 7\n1 1 1", 2, "missing '0 0 0' terminator"),
+    ("2 2 7\n1 1 1\n\n\n", 4, "missing '0 0 0' terminator"),
+    ("2 2 7\n0 0 0\n1 1 1", 3, "content after terminator"),
+    ("2 2 7\r\n0 0 0\r\n\r\n0 0 0\r\n", 4, "content after terminator"),
+])
+def test_parse_sms_error_messages_pinned(text, line, message):
+    with pytest.raises(ParseError) as e:
+        parse_sms(text)
+    assert e.value.line == line
+    assert str(e.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("token", ["\u0661", "\uff11", "1_0", "\u0662\u0663"])
+def test_parse_sms_takes_only_ascii_integers(token):
+    # int() alone would read each of these tokens as a number.
+    with pytest.raises(ParseError) as e:
+        parse_sms(f"2 {token} 7\n0 0 0\n")
+    assert str(e.value) == "line 1: non-integer token in header"
+    with pytest.raises(ParseError) as e:
+        parse_sms(f"2 2 7\n1 1 1\n\n2 2 {token}\n0 0 0\n")
+    assert str(e.value) == "line 4: non-integer token in entry"
+    with pytest.raises(ParseError) as e:
+        parse_sms(f"2 2 7\n{token} 1 1\n0 0 0\n")
+    assert str(e.value) == "line 2: non-integer token in entry"
+
+
+def test_parse_sms_signed_tokens():
+    a = parse_sms("+2 2 +7\n1 +2 -3\n+2 1 +3\n-0 +0 -0\n")
+    assert a.n == 2 and a.field.p == 7
+    assert a.entries == ((0, 1, 4), (1, 0, 3))
 
 
 def test_matrix_digest_distinguishes(f101):

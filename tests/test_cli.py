@@ -392,3 +392,34 @@ def test_verify_reports_the_malformed_line(tmp_path, matrix_file):
     assert code == 1
     assert out == ""
     assert err.startswith("parse error: line 3: ")
+
+
+def test_verify_reads_any_sms_form_of_the_matrix(tmp_path):
+    canonical, copy = tmp_path / "a.sms", tmp_path / "b.sms"
+    code, _, _ = run_cli("gen", "--n", "30", "--density", "0.1",
+                         "--modulus", "1000003", "--seed", "5",
+                         "--matrix", str(canonical))
+    assert code == 0
+    head, *body = canonical.read_text().split("\n")[:-2]
+    n, _, p = map(int, head.split())
+    entries = [tuple(map(int, line.split())) for line in body]
+    # The same matrix: entries shuffled, one value unreduced and negative,
+    # one coordinate split across two lines, tabs and runs of spaces, blank
+    # lines and CRLF endings.
+    (i, j, v), (i2, j2, v2), *rest = entries
+    lines = [f"{i}\t{j}  {v - 3 * p}", f"{i2} {j2} 1", f"  {i2}\t\t{j2} {v2 - 1}"]
+    lines += [f"{a} {b} {c}" for a, b, c in rest]
+    Random(5).shuffle(lines)
+    lines[len(lines) // 2:len(lines) // 2] = ["", " \t "]
+    copy.write_bytes("\r\n".join(["", f"{n}   {n}\t{p}", *lines, "0 0 0", ""])
+                     .encode())
+    assert parse_sms(copy.read_text()) == parse_sms(canonical.read_text())
+    assert copy.read_bytes() != canonical.read_bytes()
+    for protocol in ("det-gamma", "minpoly"):
+        cert = tmp_path / f"{protocol}.cert"
+        code, _, _ = run_cli("prove", "--protocol", protocol, "--seed", "2",
+                             "--matrix", str(canonical), "--transcript", str(cert))
+        assert code == 0
+        want = run_cli("verify", "--transcript", str(cert), "--matrix", str(canonical))
+        assert want[0] == 0 and "outcome: Accept" in want[1]
+        assert run_cli("verify", "--transcript", str(cert), "--matrix", str(copy)) == want

@@ -414,6 +414,26 @@ def test_every_certify_entry_point_takes_the_sparse_form(fbig):
                  challenges=RandomChallenges(Random(2)))
 
 
+def test_prover_and_entry_point_errors():
+    field = PrimeField(10**6 + 3)
+    zero = SparseMatrix(field, 5, [])
+    # No preconditioner makes the zero matrix full degree or coprime.
+    with pytest.raises(ProtocolInternalError, match="no diagonal preconditioner"):
+        HonestProver(field, Random(1)).choose_diagonal(zero)
+    with pytest.raises(ProtocolInternalError, match="no coprime characteristic pair"):
+        HonestProver(field, Random(1)).choose_simple(zero)
+    with pytest.raises(UsageError, match="no open session"):
+        HonestProver(field, Random(1)).committed_pair()
+    a = identity_matrix(field, 3)
+    for u, v, match in ((None, [1, 0, 0], "explicit projections"),
+                        ([1, 0, 0], None, "explicit projections"),
+                        ([1, 0], [1, 0, 0], "dimension mismatch"),
+                        ([1, 0, 0], [1, 0, 0, 0], "dimension mismatch")):
+        with pytest.raises(UsageError, match=match):
+            certify_generator(a, u, v, HonestProver(field, Random(1)),
+                              challenges=RandomChallenges(Random(2)))
+
+
 # -- field gates across protocols ---------------------------------------------------
 
 

@@ -370,6 +370,38 @@ def test_parse_transcript_strictness(matrix):
             parse_transcript("\n".join(lines) + "\n")
 
 
+def test_parse_transcript_error_messages_pinned(matrix):
+    text = fs_session(matrix)[0].render()
+    lines = text.rstrip("\n").split("\n")
+    head, outcome = lines[0], lines[-1]
+    p = matrix.field.p
+    cases = [
+        ("", 1, "empty transcript"),
+        (f"{head.replace(f'p={p}', 'p=8')}\n{outcome}\n", 1,
+         "bad modulus: modulus 8 is not prime"),
+        (f"{head}\n", 2, "missing outcome line"),
+        (f"{head}\nprover commit\n{outcome}\n", 2, "message line too short"),
+        (f"{head}\noutcome Accept 1 2\n", 2,
+         "Accept outcome needs one payload token"),
+        (f"{head}\noutcome Reject Bad_Reason\n", 2, "malformed Reject outcome"),
+        (f"{head}\noutcome Maybe x\n", 2, "unknown outcome tag 'Maybe'"),
+    ]
+    for text_in, line, message in cases:
+        with pytest.raises(ParseError) as e:
+            parse_transcript(text_in)
+        assert e.value.line == line
+        assert str(e.value) == f"line {line}: {message}"
+    # A 5000-digit challenge: the message comes from int()'s digit limit, or
+    # from the range check where the Python version has no limit, so only the
+    # line is pinned.
+    at = next(i for i, line in enumerate(lines) if line.startswith("verifier challenge "))
+    long = list(lines)
+    long[at] = "verifier challenge " + "1" * 5000
+    with pytest.raises(ParseError) as e:
+        parse_transcript("\n".join(long) + "\n")
+    assert e.value.line == at + 1 == 5
+
+
 def test_transcript_header_format(matrix):
     transcript, _ = fs_session(matrix)
     head = transcript.render().split("\n", 1)[0]
