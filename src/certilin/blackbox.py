@@ -328,7 +328,7 @@ def parse_sms(text: str) -> SparseMatrix:
 
     Every token is an ASCII decimal integer with an optional sign.
     """
-    lines = text.splitlines()
+    lines = text.removesuffix("\n").split("\n")
     n = None
     entries = []
     terminated = False

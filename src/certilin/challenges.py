@@ -6,7 +6,8 @@ from the canonical byte serialization of the session so far (header plus
 all recorded messages): the serialization seeds a SHA-256 counter stream
 cut into 64-bit little-endian chunks, and each draw consumes chunks under
 rejection sampling until one falls below the largest multiple of p.
-Consecutive draws with no message in between consume successive chunks.
+Consecutive draws with no message in between consume successive chunks:
+the stream is seeded once per message, at the first draw after it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class RandomChallenges:
     def __init__(self, rng: Random):
         self.rng = rng
 
-    def draw(self, field: PrimeField, material: bytes) -> int:
+    def draw(self, field: PrimeField, material: bytes | None) -> int:
         return field.sample(self.rng)
 
 
@@ -45,13 +46,14 @@ class FiatShamirChallenges:
 
     def __init__(self):
         self._stream = None
-        self._material_digest = None
+        self._seeded_from = (None, 0)
 
     def draw(self, field: PrimeField, material: bytes) -> int:
-        tag = hashlib.sha256(material).digest()
-        if tag != self._material_digest:
-            self._material_digest = tag
-            self._stream = _chunks(tag)
+        # A session's material only grows: its object and length name it.
+        source, length = self._seeded_from
+        if material is not source or len(material) != length:
+            self._seeded_from = (material, len(material))
+            self._stream = _chunks(hashlib.sha256(material).digest())
         p = field.p
         limit = ((1 << 64) // p) * p
         while True:

@@ -93,9 +93,8 @@ class _Run:
         self.recorded = recorded
         self.live = recorded is None
         self.messages = []
-        self._need_material = challenges.needs_material
         self._material = (bytearray(header_bytes(protocol_id, n, field.p, digest))
-                          if self._need_material else None)
+                          if challenges.needs_material else None)
 
     def exhausted(self) -> bool:
         """Whether a replay has read every recorded message."""
@@ -117,15 +116,14 @@ class _Run:
                     return None
                 _reject("malformed-transcript")
         self.messages.append((role, msg))
-        if self._need_material:
+        if self._material is not None:
             self._material += message_bytes(role, msg)
         (self.pm if role == "prover" else self.vm).elements_sent += wire_cost(msg)
         return msg
 
     def draw_quiet(self) -> int:
         self.vm.random_draws += 1
-        material = bytes(self._material) if self._need_material else b""
-        return self.challenges.draw(self.field, material)
+        return self.challenges.draw(self.field, self._material)
 
     def prover_message(self, kind, producer, optional=False):
         """A prover message; an optional one is None when the prover sends none."""
@@ -165,8 +163,11 @@ class _Run:
         return list(u), list(v)
 
     def public_projection(self, u, v):
-        msg = self._take("verifier", "projection",
-                         lambda: Projection(tuple(u), tuple(v)))
+        return self.checked_projection(self._take(
+            "verifier", "projection", lambda: Projection(tuple(u), tuple(v))))
+
+    def checked_projection(self, msg):
+        """A projection message's u and v, each of length n, as lists."""
         if len(msg.u) != self.n or len(msg.v) != self.n:
             _reject("malformed-transcript")
         return list(msg.u), list(msg.v)
@@ -325,9 +326,7 @@ def _flow_minpoly(run, a, prover, u, v, perfectly_complete):
     first = _fauv_core(run, a, prover, u, v, merged=True)
     if msg is None:
         return first
-    u2, v2 = list(msg.u), list(msg.v)
-    if len(u2) != a.n or len(v2) != a.n:
-        _reject("malformed-transcript")
+    u2, v2 = run.checked_projection(msg)
     if run.live:
         prover.open_session(a, u2, v2)
     second = _fauv_core(run, a, prover, u2, v2, merged=True)
@@ -350,10 +349,8 @@ def _flow_det_diag(run, a, prover, u, v):
         _reject("malformed-preconditioner")
     if not all(dmsg.diag):
         _reject("malformed-preconditioner")
-    pmsg = run.prover_message("projection", lambda: Projection(tuple(u), tuple(v)))
-    if len(pmsg.u) != n or len(pmsg.v) != n:
-        _reject("malformed-transcript")
-    u, v = list(pmsg.u), list(pmsg.v)
+    u, v = run.checked_projection(run.prover_message(
+        "projection", lambda: Projection(tuple(u), tuple(v))))
     box = ProductOp(DiagonalMatrix(field, dmsg.diag), a)
     gen = _fauv_core(run, box, prover, u, v, merged=True, require_deg=n)
     det_d = 1

@@ -1,12 +1,15 @@
 """Test-only helpers: an identity matrix, a seeded interactive session, a
-scripted challenge source, three dense references (a linear solve, a
+scripted challenge source, a Fiat-Shamir source that hashes the whole
+material on every draw, three dense references (a linear solve, a
 single-matrix determinant and a vector's Krylov annihilator) and
 per-element references for the bulk int/bytes conversions (Kronecker
 slots, vector wire bytes and vector parsing) that no library path runs."""
 
+import hashlib
 from random import Random
 
 from certilin import HonestProver, SparseMatrix
+from certilin.challenges import _chunks
 from certilin.harness import run_protocol
 from certilin.messages import _parse_scalar
 from certilin.oracle import _krylov_minpoly, materialize
@@ -40,6 +43,30 @@ class ScriptedChallenges:
         if self.script:
             return field.check(self.script.pop(0))
         return self.fallback.draw(field, material)
+
+
+class RehashingFiatShamir:
+    """Fiat-Shamir draws keyed by the SHA-256 of the whole material, taken
+    on every draw: the reference for FiatShamirChallenges' seeding once per
+    message."""
+
+    needs_material = True
+
+    def __init__(self):
+        self._stream = None
+        self._material_digest = None
+
+    def draw(self, field, material):
+        tag = hashlib.sha256(material).digest()
+        if tag != self._material_digest:
+            self._material_digest = tag
+            self._stream = _chunks(tag)
+        p = field.p
+        limit = ((1 << 64) // p) * p
+        while True:
+            chunk = next(self._stream)
+            if chunk < limit:
+                return chunk % p
 
 
 def dense_solve(rows, b, field):

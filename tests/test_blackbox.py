@@ -240,6 +240,25 @@ def test_parse_sms_takes_only_ascii_integers(token):
     assert str(e.value) == "line 2: non-integer token in entry"
 
 
+def test_parse_sms_breaks_lines_at_lf_only():
+    # str.splitlines() would also break at \x0c, \x85 and the other Unicode
+    # line boundaries; here they are token whitespace inside one line.
+    for text in ("2 2 7\x0c1 x 1\n0 0 0", "2 2 7\x851 1 1\x850 0 0",
+                 "2 2 7\r1 1 1\r0 0 0\r"):
+        with pytest.raises(ParseError) as e:
+            parse_sms(text)
+        assert str(e.value) == "line 1: header must be 'n n p'"
+    # A \r before the \n is token whitespace, so a CRLF file reads as LF.
+    crlf = "2 2 7\r\n1 2 3\r\n\r\n2 1 4\r\n0 0 0\r\n"
+    assert parse_sms(crlf) == parse_sms(crlf.replace("\r\n", "\n"))
+    assert parse_sms(crlf).entries == ((0, 1, 3), (1, 0, 4))
+    # A trailing newline adds no line.
+    for text in ("2 2 7\n1 1 1\n", "2 2 7\r\n1 1 1\r\n"):
+        with pytest.raises(ParseError) as e:
+            parse_sms(text)
+        assert str(e.value) == "line 2: missing '0 0 0' terminator"
+
+
 def test_parse_sms_signed_tokens():
     a = parse_sms("+2 2 +7\n1 +2 -3\n+2 1 +3\n-0 +0 -0\n")
     assert a.n == 2 and a.field.p == 7

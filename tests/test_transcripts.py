@@ -5,12 +5,13 @@ from random import Random
 
 import pytest
 
-from certilin import (Accept, Bezout, Commitment, CostMeter, HonestProver,
-                      ParseError, PointChallenge, Poly, PrimeField,
-                      Projection, Reject, SingularityWitness, Solution,
-                      UsageError, budget_report, certify_det_gamma,
-                      fiat_shamir, oracle_det, parse_transcript,
-                      verify_noninteractive)
+from certilin import (Accept, Bezout, Commitment, CostMeter,
+                      FiatShamirChallenges, HonestProver, ParseError,
+                      PointChallenge, Poly, PrimeField, Projection, Reject,
+                      SingularityWitness, Solution, UsageError,
+                      budget_report, certify_det_gamma, certify_minpoly,
+                      fiat_shamir, matrix_digest, oracle_det,
+                      parse_transcript, verify_noninteractive)
 from certilin.harness import (_corrupt_payload_byte, gen_nonsingular,
                               gen_singular, gen_sparse,
                               random_nonsingular_dense_checked, run_protocol,
@@ -22,8 +23,9 @@ from certilin.messages import (DiagonalAnnounce, GammaAnnounce,
 from certilin.protocol import PROTOCOL_IDS
 from certilin.provers import SingularDenialProver, WrongGeneratorProver
 
-from helpers import (ScriptedChallenges, identity_matrix,
-                     reference_parse_vec, reference_vec_bytes)
+from helpers import (RehashingFiatShamir, ScriptedChallenges,
+                     identity_matrix, reference_parse_vec,
+                     reference_vec_bytes)
 
 
 @pytest.fixture()
@@ -541,3 +543,70 @@ def test_vector_wire_format_matches_the_per_element_reference():
             reference_parse_vec(f, tok, 9)
         assert (got.value.line, str(got.value)) == (want.value.line,
                                                     str(want.value))
+
+
+# p just above 2^64 / 4.5: one chunk in nine falls at or above 4p and is
+# rejected, so the interleavings below also cross rejections.
+_REJECTING_PRIME = 4_100_000_000_000_000_249
+
+
+def test_fs_stream_matches_the_per_draw_rehash():
+    rng = Random(21)
+    fields = [PrimeField(7), PrimeField(1_000_003),
+              PrimeField(_REJECTING_PRIME)]
+    for _ in range(60):
+        material = bytearray(rng.randbytes(rng.randrange(1, 90)))
+        keyed, reference = FiatShamirChallenges(), RehashingFiatShamir()
+        for _ in range(30):
+            if rng.random() < 0.4:
+                material += rng.randbytes(rng.randrange(1, 30))
+            # Runs of zero to five draws between messages.
+            for _ in range(rng.randrange(6)):
+                field = rng.choice(fields)
+                assert (keyed.draw(field, material)
+                        == reference.draw(field, material))
+
+
+def test_fs_source_reused_for_a_second_session_draws_afresh(fbig, matrix):
+    reused = FiatShamirChallenges()
+    first, second = (
+        certify_minpoly(matrix, HonestProver(fbig, Random(3)),
+                        challenges=reused)[0].render() for _ in range(2))
+    fresh, _ = certify_minpoly(matrix, HonestProver(fbig, Random(3)),
+                               challenges=FiatShamirChallenges())
+    assert first == second == fresh.render()
+    # A new material object starts a new stream, even at an equal length
+    # and at the address of a freed one.
+    source = FiatShamirChallenges()
+    draws = [source.draw(fbig, bytearray(b"header")) for _ in range(3)]
+    assert draws == [FiatShamirChallenges().draw(fbig, b"header")] * 3
+
+
+def test_minpoly_session_hashes_its_material_once_per_message(fbig,
+                                                             monkeypatch):
+    n = 50
+    a = gen_nonsingular(fbig, n, Random(n), 5 / n)
+    matrix_digest(a)  # cached before hashes are counted
+    sha256 = hashlib.sha256
+    hashed = []
+
+    def counting_sha256(data=b""):
+        # A chunk block hashes a 32-byte tag and an 8-byte counter; every
+        # other input is session material.
+        if len(data) != 40:
+            hashed.append(len(data))
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+    rendered = {}
+    for source in (FiatShamirChallenges, RehashingFiatShamir):
+        hashed.clear()
+        t, outcome = certify_minpoly(a, HonestProver(fbig, Random(1)),
+                                     challenges=source())
+        assert isinstance(outcome, Accept)
+        rendered[source] = t.render()
+        # 2n projection entries drawn from the header, then one point
+        # challenge after the projection, commitment and Bezout messages.
+        assert len(hashed) == (2 if source is FiatShamirChallenges
+                               else 2 * n + 1)
+    assert rendered[FiatShamirChallenges] == rendered[RehashingFiatShamir]
