@@ -23,7 +23,7 @@ from .messages import (Accept, BadChallenge, Bezout, Commitment, Outcome,
                        SingularityWitness, Solution, Transcript,
                        outcome_exit_code, parse_transcript)
 from .meter import CostMeter
-from .oracle import (oracle_cap, oracle_charpoly, oracle_det, oracle_kernel,
+from .oracle import (ORACLE_CAP, oracle_charpoly, oracle_det, oracle_kernel,
                      oracle_minpoly)
 from .polynomial import Poly, berlekamp_massey, poly_gcd, poly_lcm, xgcd
 from .protocol import (BudgetReport, budget_report, certify_charpoly,

@@ -20,12 +20,12 @@ from .errors import UsageError
 from .field import PrimeField
 from .krylov import wiedemann_sequence
 from .messages import Accept, BadChallenge, Reject, SingularResult
-from .oracle import oracle_charpoly, oracle_det, oracle_minpoly, oracle_cap
+from .oracle import ORACLE_CAP, oracle_charpoly, oracle_det, oracle_minpoly
 from .polynomial import berlekamp_massey
 from .protocol import (PROTOCOL_IDS, _dispatch, budget_report,
                        field_size_bound, fiat_shamir, protocol_spec,
                        verify_noninteractive)
-from .provers import HonestProver, adversarial_prover
+from .provers import HonestProver, WrongClaimProver, adversarial_prover
 
 PROTOCOL_CHOICES = tuple(pid for pid in PROTOCOL_IDS if protocol_spec(pid).cli)
 
@@ -117,7 +117,7 @@ def sample_projections(protocol: str, field: PrimeField, n: int, rng: Random) ->
 
 def _trial_matrix(field: PrimeField, n: int, setup: Random) -> SparseMatrix:
     return (random_nonsingular_dense_checked(field, n, setup)
-            if n <= oracle_cap() else gen_nonsingular(field, n, setup))
+            if n <= ORACLE_CAP else gen_nonsingular(field, n, setup))
 
 
 def _play_trials(report, cls, a, setup, seed):
@@ -145,25 +145,11 @@ def _play_trials(report, cls, a, setup, seed):
 # -- soundness attacks --------------------------------------------------------
 
 
-def rejection_bound(protocol: str, strategy: str, n: int, p: int):
-    """Analytic lower bound on the rejection rate, with a short label."""
-    spec = protocol_spec(protocol)
-    if strategy == "forged_bezout":
-        return None, "non-exposing"
-    if strategy == "wrong_solution":
-        return 1.0, "exact-residual"
-    return spec.rejection(n, p), spec.rejection_label
-
-
-def _strategy_class(protocol: str, strategy: str):
-    aliases = dict(protocol_spec(protocol).strategy_aliases)
-    return aliases.get(strategy) or adversarial_prover(strategy)
-
-
 @dataclass
 class TrialReport:
     """Tally of seeded sessions of one prover strategy ("honest" for
-    completeness runs) against one protocol, with the analytic bound."""
+    completeness runs) against one protocol, with the analytic bound; with
+    no bound, every session must accept."""
 
     protocol: str
     strategy: str
@@ -187,10 +173,8 @@ class TrialReport:
 
     @property
     def passed(self) -> bool:
-        if self.label == "non-exposing":
-            return self.accepted == self.trials
         if self.bound is None:
-            return self.rejected == self.trials
+            return self.accepted == self.trials
         return self.rejection_rate >= self.bound - self.allowance
 
 
@@ -203,12 +187,19 @@ def run_attack(protocol: str, strategy: str, trials: int, n: int, p: int,
     setup = subseed(seed, "setup")
     a = (gen_singular(field, n, setup) if strategy == "singular_denial"
          else _trial_matrix(field, n, setup))
-    bound, label = rejection_bound(protocol, strategy, n, p)
+    spec = protocol_spec(protocol)
+    if strategy == "forged_bezout":   # the well-formed pair is the honest one
+        bound, label = None, "non-exposing"
+    elif strategy == "wrong_solution":
+        bound, label = 1.0, "exact-residual"
+    else:
+        bound, label = spec.rejection(n, p), spec.rejection_label
+    claim = protocol == "charpoly" and strategy == "wrong_generator"
+    cls = WrongClaimProver if claim else adversarial_prover(strategy)
     report = TrialReport(protocol, strategy, n, p, trials, bound=bound,
                          label=label,
                          allowance=three_sigma(bound, trials) if bound else 0.0)
-    return _play_trials(report, _strategy_class(protocol, strategy), a, setup,
-                        seed)
+    return _play_trials(report, cls, a, setup, seed)
 
 
 # -- completeness -----------------------------------------------------------------
@@ -297,12 +288,11 @@ def run_selftest(max_n: int, seeds: int, p: int, seed: int = 0) -> SelftestRepor
     """Cross-check every protocol against the dense oracles."""
     report = SelftestReport()
     field = PrimeField(p)
-    cap = oracle_cap()
-    if max_n > cap:
-        raise UsageError(f"selftest needs max_n <= oracle cap ({cap})")
+    if max_n > ORACLE_CAP:
+        raise UsageError(f"selftest needs max_n <= oracle cap ({ORACLE_CAP})")
     if seeds < 1:
         raise UsageError("seeds must be >= 1")
-    ladder = [n for n in (2, 3, 4, 6, 8, 10, 12) if n <= max_n] or [max_n]
+    ladder = [n for n in (2, 3, 4, 6, 8, 10, 12) if n < max_n] + [max_n]
 
     for k in range(seeds):
         n = ladder[k % len(ladder)]

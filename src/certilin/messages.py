@@ -325,9 +325,11 @@ def parse_transcript(text: str) -> Transcript:
     m_d = re.match(r"^matrix=([0-9a-f]{64})$", head[4])
     if not (m_n and m_p and m_d):
         raise ParseError(1, "malformed header fields")
-    n, p = int(m_n.group(1)), int(m_p.group(1))
     try:
+        n, p = int(m_n.group(1)), int(m_p.group(1))
         field = PrimeField(p)
+    except ValueError as exc:   # int()'s digit limit
+        raise ParseError(1, str(exc)) from None
     except Exception as exc:
         raise ParseError(1, f"bad modulus: {exc}") from None
     t = Transcript(protocol_id, n, p, m_d.group(1))
@@ -354,7 +356,10 @@ def parse_transcript(text: str) -> Transcript:
     lineno = len(lines)
     if last[0] != "outcome" or len(last) < 2:
         raise ParseError(lineno, "missing outcome line")
-    t.outcome = _parse_outcome(field, protocol_id, last[1:], lineno)
+    try:
+        t.outcome = _parse_outcome(field, protocol_id, last[1:], lineno)
+    except ValueError as exc:   # int()'s digit limit
+        raise ParseError(lineno, str(exc)) from None
     return t
 
 

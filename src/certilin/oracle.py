@@ -1,16 +1,15 @@
 """Dense ground-truth oracles for the provers, the harness and the selftest.
 
-Everything here is exact O(n^3)-ish elimination over Z_p, capped at a
-configurable dimension (default 64, overridable through the
-CERTILIN_ORACLE_CAP environment variable).  The characteristic polynomial
-is det(x*I - A) at n+1 points, interpolated; the same eliminations give the
-leading (n-1)-block's determinants, so the charpoly of that block comes
-with it through the same Lagrange basis.  One dependency search gives
-the rest: a kernel vector is the first linear dependency among the
-columns, and the minimal polynomial is the lcm of the unit vectors' Krylov
-annihilators (Wiedemann 1986), each found by multiplying with the
-materialized rows.  These routes are deliberately independent of the
-Berlekamp-Massey / black-box machinery they are used to check.
+Everything here is exact O(n^3)-ish elimination over Z_p, capped at
+dimension ORACLE_CAP.  The characteristic polynomial is det(x*I - A) at n+1
+points, interpolated; the same eliminations give the leading (n-1)-block's
+determinants, so the charpoly of that block comes with it through the same
+Lagrange basis.  One dependency search gives the rest: a kernel vector is
+the first linear dependency among the columns, and the minimal polynomial
+is the lcm of the unit vectors' Krylov annihilators (Wiedemann 1986), each
+found by multiplying with the materialized rows.  These routes are
+deliberately independent of the Berlekamp-Massey / black-box machinery
+they are used to check.
 
 Results are cached on :class:`SparseMatrix` instances (immutable after
 construction, so this is safe).
@@ -18,7 +17,6 @@ construction, so this is safe).
 
 from __future__ import annotations
 
-import os
 from operator import mul
 
 from .blackbox import LinearOp, SparseMatrix
@@ -26,24 +24,14 @@ from .errors import IntegrityError, OracleCapError, UsageError
 from .field import PrimeField
 from .polynomial import Poly, poly_lcm
 
-DEFAULT_ORACLE_CAP = 64
-
-
-def oracle_cap() -> int:
-    raw = os.environ.get("CERTILIN_ORACLE_CAP")
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"CERTILIN_ORACLE_CAP must be an int, got {raw!r}") from None
+ORACLE_CAP = 64
 
 
 def materialize(op: LinearOp) -> list:
     """Dense row-major copy of a black-box operator (meter-free)."""
-    cap = oracle_cap()
-    if op.n > cap:
-        raise OracleCapError(f"dense oracle capped at n <= {cap}, got n = {op.n}")
+    if op.n > ORACLE_CAP:
+        raise OracleCapError(
+            f"dense oracle capped at n <= {ORACLE_CAP}, got n = {op.n}")
     if hasattr(op, "to_dense"):
         return op.to_dense()
     n = op.n

@@ -43,7 +43,6 @@ from .messages import (Accept, BadChallenge, Bezout, Commitment,
                        Transcript, header_bytes, message_bytes, wire_cost)
 from .meter import CostMeter
 from .polynomial import Poly, poly_gcd
-from .provers import WrongClaimProver
 
 def field_size_bound(protocol_id: str, n: int) -> int:
     """Minimal field size required for the protocol's soundness analysis."""
@@ -450,9 +449,8 @@ class ProtocolSpec:
     ``generator_unsent`` leaves the committed generator out of the
     communication count, since it is the protocol's output.  ``result``
     names what an Accept certifies: "generator", "minpoly", "charpoly" or
-    "det".  ``strategy_aliases`` maps an attack strategy to the prover class
-    that plays it against this protocol; ``cli`` offers the id on the
-    command line (the two variants are reached by their ids).
+    "det".  ``cli`` offers the id on the command line (the two variants are
+    reached by their ids).
     """
 
     flow: Callable
@@ -465,7 +463,6 @@ class ProtocolSpec:
     ops_budget: Callable | None = None
     sent_budget: Callable | None = None
     generator_unsent: bool = False
-    strategy_aliases: tuple = ()
     cli: bool = True
 
     @property
@@ -532,8 +529,7 @@ _PROTOCOLS = {
     "charpoly": ProtocolSpec(
         flow=_flow_charpoly, certify="certify_charpoly",
         field_bound=_gamma_bound, rejection=lambda n, p: 1 - 2 * n / p,
-        rejection_label="claim-collision", result="charpoly",
-        strategy_aliases=(("wrong_generator", WrongClaimProver),)),
+        rejection_label="claim-collision", result="charpoly"),
 }
 
 PROTOCOL_IDS = tuple(_PROTOCOLS)

@@ -5,7 +5,7 @@ import pytest
 from certilin import UsageError, adversarial_prover
 from certilin.harness import (PROTOCOL_CHOICES,
                               random_nonsingular_dense_checked, run_attack,
-                              three_sigma)
+                              run_completeness, three_sigma)
 from certilin.provers import STRATEGIES
 
 from conftest import PRIME_BIG
@@ -93,6 +93,13 @@ def test_forged_bezout_non_exposing():
     report = run_attack("fauv", "forged_bezout", 500, N, P, seed=7)
     assert report.accepted == 500
     assert report.label == "non-exposing"
+    assert report.passed
+
+
+def test_honest_completeness_report_passes():
+    # A completeness report has no bound: it passes when every session accepts.
+    report = run_completeness("det-gamma", 20, 6, P, seed=1)
+    assert (report.bound, report.accepted) == (None, 20)
     assert report.passed
 
 

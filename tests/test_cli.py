@@ -245,6 +245,14 @@ def test_selftest_small():
     assert "0 failures" in out
 
 
+def test_selftest_ladder_reaches_max_n():
+    code, out, _ = run_cli("selftest", "--max-n", "20", "--seeds", "8",
+                           "--modulus", "1000003")
+    assert code == 0
+    assert "0 failures" in out
+    assert " n=20 " in out
+
+
 @pytest.mark.parametrize("seeds", ["0", "-3"])
 def test_selftest_without_seeds_is_a_usage_error(seeds):
     # No seed runs no cross-check, so it cannot report "0 failures".
@@ -392,6 +400,22 @@ def test_verify_reports_the_malformed_line(tmp_path, matrix_file):
     assert code == 1
     assert out == ""
     assert err.startswith("parse error: line 3: ")
+
+
+def test_verify_reports_an_overlong_header_number(tmp_path, matrix_file):
+    # 5000 digits exceed int()'s digit limit; the parser must still name
+    # the line rather than end in a traceback.
+    transcript = tmp_path / "t.txt"
+    run_cli("prove", "--protocol", "det-gamma", "--matrix", str(matrix_file),
+            "--transcript", str(transcript), "--seed", "2")
+    text = transcript.read_text()
+    transcript.write_text(text.replace(" n=10 ", f" n={'1' * 5000} ", 1))
+    code, out, err = run_cli("verify", "--transcript", str(transcript),
+                             "--matrix", str(matrix_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("parse error: line 1: ")
+    assert "Traceback" not in err
 
 
 def test_verify_reads_any_sms_form_of_the_matrix(tmp_path):

@@ -395,13 +395,22 @@ def test_parse_transcript_error_messages_pinned(matrix):
         assert str(e.value) == f"line {line}: {message}"
     # A 5000-digit challenge: the message comes from int()'s digit limit, or
     # from the range check where the Python version has no limit, so only the
-    # line is pinned.
+    # line is pinned.  The same goes for 5000 digits in the header's n= or p=,
+    # or in the outcome's Accept payload.
+    digits = "1" * 5000
     at = next(i for i, line in enumerate(lines) if line.startswith("verifier challenge "))
     long = list(lines)
-    long[at] = "verifier challenge " + "1" * 5000
-    with pytest.raises(ParseError) as e:
-        parse_transcript("\n".join(long) + "\n")
-    assert e.value.line == at + 1 == 5
+    long[at] = "verifier challenge " + digits
+    body = "\n".join(lines[1:-1])
+    for text_in, line in [
+            ("\n".join(long) + "\n", at + 1),
+            (f"{head.replace(f'n={matrix.n}', f'n={digits}')}\n{body}\n{outcome}\n", 1),
+            (f"{head.replace(f'p={p}', f'p={digits}')}\n{body}\n{outcome}\n", 1),
+            (f"{head}\n{body}\noutcome Accept {digits}\n", len(lines))]:
+        with pytest.raises(ParseError) as e:
+            parse_transcript(text_in)
+        assert e.value.line == line
+    assert at + 1 == 5
 
 
 def test_transcript_header_format(matrix):
