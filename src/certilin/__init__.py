@@ -21,7 +21,7 @@ from .krylov import (GeneratorPair, minimal_generator_pair,
 from .messages import (Accept, BadChallenge, Bezout, Commitment, Outcome,
                        PointChallenge, Projection, Reject, SingularResult,
                        SingularityWitness, Solution, Transcript,
-                       outcome_exit_code, parse_transcript)
+                       parse_transcript)
 from .meter import CostMeter
 from .oracle import (ORACLE_CAP, oracle_charpoly, oracle_det, oracle_kernel,
                      oracle_minpoly)

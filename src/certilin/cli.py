@@ -22,13 +22,21 @@ from .errors import (CertilinError, FieldTooSmallError, MatrixMismatchError,
 from .field import PrimeField
 from .harness import (PROTOCOL_CHOICES, gen_sparse, run_attack, run_bench,
                       run_selftest, sample_projections, subseed)
-from .messages import (Accept, Reject, outcome_exit_code, parse_transcript,
+from .messages import (Accept, BadChallenge, Reject, parse_transcript,
                        result_text)
 from .protocol import budget_report, fiat_shamir, verify_noninteractive
 from .provers import STRATEGIES, HonestProver
 
 EXIT_FIELD_TOO_SMALL = 64
 EXIT_MATRIX_MISMATCH = 65
+
+
+def outcome_exit_code(outcome) -> int:
+    if isinstance(outcome, Accept):
+        return 0
+    if isinstance(outcome, BadChallenge):
+        return 2
+    return 1
 
 
 class _Report:

@@ -13,8 +13,8 @@ encodings (scalar, vector, polynomial), each with two canonical forms:
   vectors and polynomials prefixed by their length.
 
 One table, ``_LAYOUT``, gives each message class its subtag and the
-ordered (attribute, encoding) layout of its payload; rendering, byte
-serialization, parsing and the wire cost all read it.
+ordered (attribute, encoding) layout its attributes are built from;
+rendering, byte serialization, parsing and the wire cost all read it.
 
 Replaying a transcript through the verifier reproduces its verdict; any
 byte flipped in a payload changes either the parse, the derived
@@ -24,7 +24,7 @@ challenges or a check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, make_dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ParseError, UsageError
@@ -39,68 +39,6 @@ _DEC = re.compile(r"^(0|[1-9][0-9]*)$")
 # p < 2**62 has at most 19, so a longer token goes to the per-token parser.
 _CANONICAL_VEC = re.compile(
     r"(?:0|[1-9][0-9]{0,18})(?:,(?:0|[1-9][0-9]{0,18}))*\Z")
-
-
-# -- message types -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Projection:
-    u: tuple
-    v: tuple
-    kind = "projection"
-
-
-@dataclass(frozen=True)
-class SecondaryProjection:
-    u: tuple
-    v: tuple
-    kind = "projection2"
-
-
-@dataclass(frozen=True)
-class Commitment:
-    gen: Poly
-    res: Poly
-    kind = "commit"
-
-
-@dataclass(frozen=True)
-class Bezout:
-    phi: Poly
-    psi: Poly
-    kind = "bezout"
-
-
-@dataclass(frozen=True)
-class PointChallenge:
-    value: int
-    kind = "challenge"
-
-
-@dataclass(frozen=True)
-class Solution:
-    w: tuple
-    kind = "solution"
-
-
-@dataclass(frozen=True)
-class DiagonalAnnounce:
-    diag: tuple
-    kind = "precond"
-
-
-@dataclass(frozen=True)
-class GammaAnnounce:
-    s: int
-    t: int
-    kind = "precond"
-
-
-@dataclass(frozen=True)
-class SingularityWitness:
-    w: tuple
-    kind = "witness"
 
 
 # -- the wire format -----------------------------------------------------
@@ -152,8 +90,11 @@ class Encoding(NamedTuple):
 SCALAR = Encoding(str, _scalar_bytes, _parse_scalar, lambda x: 1)
 VECTOR = Encoding(lambda v: ",".join(map(str, v)), _vec_bytes, _parse_vec,
                   len)
-POLY = Encoding(Poly.to_text, lambda f: _vec_bytes(f.coeffs), _parse_poly,
-                Poly.wire_cost)
+# A polynomial is its coefficients, low to high; the leading 1 of a monic
+# polynomial is implicit in its wire cost.
+POLY = Encoding(lambda f: VECTOR.text(f.coeffs) or "0",
+                lambda f: _vec_bytes(f.coeffs), _parse_poly,
+                lambda f: len(f.coeffs) - f.is_monic())
 
 
 class _Layout(NamedTuple):
@@ -167,26 +108,36 @@ class _Table(dict):
         raise UsageError(f"unknown message type {cls.__name__}")
 
 
-def _entry(cls, fields, subtag=None):
-    tags = [cls.kind] if subtag is None else [cls.kind, subtag]
-    return cls, _Layout(" ".join(tags),
-                        b"".join(t.encode() + b"\x00" for t in tags), fields)
-
-
 # Message class -> layout.  A text line is "<role> <tags> <token>...", one
 # token per field; the bytes are the role, NUL, the tag bytes and then each
 # field's bytes in order.
-_LAYOUT = _Table([
-    _entry(Projection, (("u", VECTOR), ("v", VECTOR))),
-    _entry(SecondaryProjection, (("u", VECTOR), ("v", VECTOR))),
-    _entry(Commitment, (("gen", POLY), ("res", POLY))),
-    _entry(Bezout, (("phi", POLY), ("psi", POLY))),
-    _entry(PointChallenge, (("value", SCALAR),)),
-    _entry(Solution, (("w", VECTOR),)),
-    _entry(DiagonalAnnounce, (("diag", VECTOR),), "diagonal"),
-    _entry(GammaAnnounce, (("s", SCALAR), ("t", SCALAR)), "gamma"),
-    _entry(SingularityWitness, (("w", VECTOR),)),
-])
+_LAYOUT = _Table()
+
+
+def _message(name, kind, fields, subtag=None):
+    """A frozen message class whose attributes are its layout's, in order."""
+    cls = make_dataclass(name, [attr for attr, _ in fields], frozen=True,
+                         namespace={"kind": kind})
+    cls.__module__ = __name__
+    tags = [kind] if subtag is None else [kind, subtag]
+    _LAYOUT[cls] = _Layout(" ".join(tags),
+                           b"".join(t.encode() + b"\x00" for t in tags), fields)
+    return cls
+
+
+Projection = _message("Projection", "projection",
+                      (("u", VECTOR), ("v", VECTOR)))
+SecondaryProjection = _message("SecondaryProjection", "projection2",
+                               (("u", VECTOR), ("v", VECTOR)))
+Commitment = _message("Commitment", "commit", (("gen", POLY), ("res", POLY)))
+Bezout = _message("Bezout", "bezout", (("phi", POLY), ("psi", POLY)))
+PointChallenge = _message("PointChallenge", "challenge", (("value", SCALAR),))
+Solution = _message("Solution", "solution", (("w", VECTOR),))
+DiagonalAnnounce = _message("DiagonalAnnounce", "precond",
+                            (("diag", VECTOR),), "diagonal")
+GammaAnnounce = _message("GammaAnnounce", "precond",
+                         (("s", SCALAR), ("t", SCALAR)), "gamma")
+SingularityWitness = _message("SingularityWitness", "witness", (("w", VECTOR),))
 _BY_TAGS = {lay.tags: cls for cls, lay in _LAYOUT.items()}
 
 
@@ -254,14 +205,6 @@ class BadChallenge:
 
 
 Outcome = Accept | Reject | BadChallenge
-
-
-def outcome_exit_code(outcome) -> int:
-    if isinstance(outcome, Accept):
-        return 0
-    if isinstance(outcome, BadChallenge):
-        return 2
-    return 1
 
 
 # -- transcript -----------------------------------------------------------
@@ -336,6 +279,11 @@ def parse_transcript(text: str) -> Transcript:
 
     if len(lines) < 2:
         raise ParseError(2, "missing outcome line")
+    # No vector or polynomial on the wire has more than n + 1 entries: a
+    # longer payload is refused before any payload is converted.
+    for lineno, line in enumerate(lines[1:], start=2):
+        if any(tok.count(",") > n for tok in line.split(" ")):
+            raise ParseError(lineno, f"payload of more than {n + 1} entries")
     for lineno, line in enumerate(lines[1:-1], start=2):
         toks = line.split(" ")
         if len(toks) < 3:

@@ -5,12 +5,6 @@ polynomial is the empty tuple and reports degree -inf so that degree
 comparisons stay total.  Provides ring arithmetic, Horner evaluation with
 exact operation metering, the extended Euclidean algorithm with the tight
 cofactor degree bounds, and Berlekamp-Massey for minimal linear generators.
-
-``to_text`` and ``wire_cost`` give a polynomial's canonical text, the
-comma-separated decimal coefficients low-to-high ("100,0,1" is x^2 - 1 over
-Z_101, the zero polynomial is "0"), and the field elements it puts on the
-wire.  The wire format that uses them, parser included, lives in
-:mod:`certilin.messages`.
 """
 
 from __future__ import annotations
@@ -109,7 +103,7 @@ class Poly:
         return hash((self.field.p, self.coeffs))
 
     def __repr__(self) -> str:
-        return f"Poly(p={self.field.p}, [{self.to_text()}])"
+        return f"Poly(p={self.field.p}, [{','.join(map(str, self.coeffs)) or '0'}])"
 
     # -- ring arithmetic -------------------------------------------------------
 
@@ -188,19 +182,6 @@ class Poly:
             meter.mul += d
             meter.add += d
         return acc
-
-    # -- canonical text ----------------------------------------------------------
-
-    def to_text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return ",".join(map(str, self.coeffs))
-
-    def wire_cost(self) -> int:
-        """Field elements needed on the wire (monic leading 1 is implicit)."""
-        if not self.coeffs:
-            return 0
-        return len(self.coeffs) - (1 if self.coeffs[-1] == 1 else 0)
 
 
 def poly_gcd(a: Poly, b: Poly, meter: CostMeter | None = None) -> Poly:

@@ -40,7 +40,8 @@ from .messages import (Accept, BadChallenge, Bezout, Commitment,
                        DiagonalAnnounce, GammaAnnounce, PointChallenge,
                        Projection, Reject, SecondaryProjection,
                        SingularResult, SingularityWitness, Solution,
-                       Transcript, header_bytes, message_bytes, wire_cost)
+                       POLY, Transcript, header_bytes, message_bytes,
+                       wire_cost)
 from .meter import CostMeter
 from .polynomial import Poly, poly_gcd
 
@@ -712,7 +713,7 @@ def budget_report(transcript: Transcript, a: SparseMatrix) -> BudgetReport:
         commit = next((m for role, m in transcript.messages
                        if role == "prover" and isinstance(m, Commitment)), None)
         if commit is not None:
-            sent -= commit.gen.wire_cost()
+            sent -= POLY.cost(commit.gen)
     return BudgetReport(
         protocol_id=pid,
         n=n,

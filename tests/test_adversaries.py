@@ -2,10 +2,11 @@ from random import Random
 
 import pytest
 
-from certilin import UsageError, adversarial_prover
+from certilin import (Accept, HonestProver, Poly, Reject, UsageError,
+                      adversarial_prover)
 from certilin.harness import (PROTOCOL_CHOICES,
                               random_nonsingular_dense_checked, run_attack,
-                              run_completeness, three_sigma)
+                              run_completeness, run_protocol, three_sigma)
 from certilin.provers import STRATEGIES
 
 from conftest import PRIME_BIG
@@ -94,6 +95,30 @@ def test_forged_bezout_non_exposing():
     assert report.accepted == 500
     assert report.label == "non-exposing"
     assert report.passed
+
+
+@pytest.mark.parametrize("protocol", ["fauv", "fauv-merged"])
+def test_adversaries_on_a_zero_projected_sequence(protocol, fbig):
+    # u = 0 projects every Krylov vector to 0: the generator is 1 and the
+    # residue 0, so wrong_generator and wrong_residue take their degree-0
+    # forgery and forged_bezout its zero-residue pair, which is the honest
+    # one and is accepted.
+    expected = {"honest": Accept(Poly.one(fbig)),
+                "wrong_generator": Reject("evaluation-check"),
+                "wrong_residue": Reject("evaluation-check"),
+                "forged_bezout": Accept(Poly.one(fbig)),
+                "wrong_solution": Reject("residual-check"),
+                "degree_pad": Reject("evaluation-check"),
+                "singular_denial": Reject("evaluation-check")}
+    for seed in range(5):
+        a = random_nonsingular_dense_checked(fbig, 6, Random(seed), 0.4)
+        u, v = [0] * 6, fbig.sample_vector(Random(seed), 6)
+        for strategy, outcome in expected.items():
+            cls = (HonestProver if strategy == "honest"
+                   else adversarial_prover(strategy))
+            _, got = run_protocol(protocol, a, cls(fbig, Random(seed + 100)),
+                                  Random(seed + 200), u=u, v=v)
+            assert got == outcome, (strategy, seed)
 
 
 def test_honest_completeness_report_passes():

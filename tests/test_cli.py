@@ -253,6 +253,22 @@ def test_selftest_ladder_reaches_max_n():
     assert " n=20 " in out
 
 
+def test_selftest_reports_a_wrong_oracle(monkeypatch):
+    # A determinant oracle off by one: every det protocol's cross-check and
+    # the singular batch fail, and the command exits 1.
+    from certilin import harness
+    real = harness.oracle_det
+    monkeypatch.setattr(harness, "oracle_det", lambda a: real(a) + 1)
+    report = harness.run_selftest(4, 1, 1_000_003)
+    for protocol in ("det-diag", "det-gamma", "det-simple"):
+        assert f"FAIL {protocol} n=2 seed=0" in report.lines
+        assert f"FAIL singular {protocol} n=4 seed=0" in report.lines
+    assert report.failures == 14 and not report.ok
+    code, out, _ = run_cli("selftest", "--max-n", "4", "--seeds", "1")
+    assert code == 1
+    assert out.endswith("selftest: 14 failures, 0 skipped\n")
+
+
 @pytest.mark.parametrize("seeds", ["0", "-3"])
 def test_selftest_without_seeds_is_a_usage_error(seeds):
     # No seed runs no cross-check, so it cannot report "0 failures".

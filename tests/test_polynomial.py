@@ -103,7 +103,7 @@ def test_zero_polynomial_degree_sentinel(f7):
     assert z.degree < 0 and z.degree < P(f7, 1).degree
     assert P(f7, 3).degree == 0
     assert not z
-    assert z.to_text() == "0"
+    assert POLY.text(z) == "0"
     assert POLY.parse(f7, "0", 1) == z
 
 
@@ -134,9 +134,9 @@ def test_scale_monic_leading(f7):
     f = P(f7, 2, 4)
     assert f.monic() == P(f7, 4, 1)
     assert f.monic().is_monic()
-    assert P(f7, 3).wire_cost() == 1
-    assert P(f7, 3, 1).wire_cost() == 1
-    assert Poly.zero(f7).wire_cost() == 0
+    assert POLY.cost(P(f7, 3)) == 1
+    assert POLY.cost(P(f7, 3, 1)) == 1
+    assert POLY.cost(Poly.zero(f7)) == 0
 
 
 # -- extended euclid ---------------------------------------------------------------

@@ -386,6 +386,18 @@ def test_run_protocol_every_registered_id(fbig):
         run_protocol("det-bogus", a, HonestProver(fbig, Random(1)), Random(2))
 
 
+def test_perfectly_complete_minpoly_is_the_minpoly_pc_session(fbig):
+    # The benchmark runs minpoly-pc as run_protocol("minpoly", ...,
+    # perfectly_complete=True): the same session as the id, byte for byte.
+    a = random_nonsingular_dense_checked(fbig, 6, Random(133), 0.4)
+    texts = [run_protocol(protocol, a, HonestProver(fbig, Random(134)),
+                          Random(135), **kw)[0].render()
+             for protocol, kw in [("minpoly", {"perfectly_complete": True}),
+                                  ("minpoly-pc", {})]]
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("certilin/1 minpoly-pc ")
+
+
 def test_sessions_take_the_matrix_in_sparse_form(fbig):
     a = random_nonsingular_dense_checked(fbig, 4, Random(140), 0.5)
     for public in (a.to_dense(), ProductOp(a, a)):

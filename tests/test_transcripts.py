@@ -377,6 +377,10 @@ def test_parse_transcript_error_messages_pinned(matrix):
     lines = text.rstrip("\n").split("\n")
     head, outcome = lines[0], lines[-1]
     p = matrix.field.p
+
+    def ones(k):
+        return ",".join(["1"] * k)
+
     cases = [
         ("", 1, "empty transcript"),
         (f"{head.replace(f'p={p}', 'p=8')}\n{outcome}\n", 1,
@@ -387,12 +391,21 @@ def test_parse_transcript_error_messages_pinned(matrix):
          "Accept outcome needs one payload token"),
         (f"{head}\noutcome Reject Bad_Reason\n", 2, "malformed Reject outcome"),
         (f"{head}\noutcome Maybe x\n", 2, "unknown outcome tag 'Maybe'"),
+        # No payload has more than n + 1 entries; a longer one is refused
+        # before any entry is converted, on a message line or the outcome.
+        (f"{head}\nprover commit {ones(matrix.n + 2)} 1\n{outcome}\n", 2,
+         f"payload of more than {matrix.n + 1} entries"),
+        (f"{head}\noutcome Accept {ones(matrix.n + 2)}\n", 2,
+         f"payload of more than {matrix.n + 1} entries"),
     ]
     for text_in, line, message in cases:
         with pytest.raises(ParseError) as e:
             parse_transcript(text_in)
         assert e.value.line == line
         assert str(e.value) == f"line {line}: {message}"
+    longest = parse_transcript(
+        f"{head}\nprover commit {ones(matrix.n + 1)} 1\n{outcome}\n")
+    assert len(longest.messages[0][1].gen.coeffs) == matrix.n + 1
     # A 5000-digit challenge: the message comes from int()'s digit limit, or
     # from the range check where the Python version has no limit, so only the
     # line is pinned.  The same goes for 5000 digits in the header's n= or p=,
