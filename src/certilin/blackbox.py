@@ -19,6 +19,8 @@ per-entry loop, ``apply`` runs straight-line functions with the entries
 written in as int literals, cached in the matrix's ``_cache``.  They run
 in about 0.6x the loop's time; results and meter charges are identical.
 A matrix applied only once or twice, as by a verifier, stays on the loop.
+Its transposed product is the ``apply`` of the transposed matrix, built on
+the first call and kept in the same cache, so it compiles by the same rule.
 
 The file format is SMS-style: a header line "n n p", entry lines "i j v"
 with 1-based coordinates and arbitrary integer values (reduced mod p),
@@ -49,7 +51,8 @@ class LinearOp:
         """x^T A, reduced mod p; unmetered.
 
         The prover's Krylov pass needs it from n >= 64 with a projection of
-        two or more nonzero entries (``krylov.wiedemann_sequence``).
+        two or more nonzero entries, and from ``krylov._SPLIT_MIN`` with
+        every projection (``krylov.wiedemann_sequence``).
         """
         raise NotImplementedError
 
@@ -79,7 +82,7 @@ _COMPILE_AFTER = 64
 # nesting depth of one row's sum, which CPython's compiler limits.
 _BLOCK_TERMS = 256
 # _cache keys; certilin.oracle keeps its dense results in the same dict.
-_CODE, _COLD = "matvec_code", "matvec_cold"
+_CODE, _COLD, _TRANSPOSE = "matvec_code", "matvec_cold", "transpose"
 
 
 def _function(body: str):
@@ -178,11 +181,11 @@ class SparseMatrix(LinearOp):
         return y
 
     def apply_transpose(self, x: list) -> list:
-        p = self.field.p
-        y = [0] * self.n
-        for i, j, v in self.entries:
-            y[j] += v * x[i]
-        return [c % p for c in y]
+        t = self._cache.get(_TRANSPOSE)
+        if t is None:
+            t = self._cache[_TRANSPOSE] = SparseMatrix(
+                self.field, self.n, [(j, i, v) for i, j, v in self.entries])
+        return t.apply(x)
 
     def matvec_cost(self) -> int:
         return 2 * self.nnz

@@ -31,10 +31,29 @@ most one nonzero entry (det-gamma's e_1) takes each sequence term as one
 product.  Results and matvec counts are the same bit for bit, and the
 meter still charges each term the n multiplications and n - 1 additions
 of a dense dot product.
+
+From n = ``_SPLIT_MIN`` up, when the process may run on two CPUs, can
+fork and runs one thread, a sequence longer than n runs on two processes
+with any projection: this one computes A^i v for i <= h = max(n, length
+// 2), and a helper forked for the pass computes (A^T)^j u for the other
+powers and sends back its first s and last s rows, packed per coordinate,
+over a pipe.  Each giant step, and A^h v, then gives s terms per block in
+one packed product.
+The helper inherits the operator, so nothing but rows and an error is
+sent; it always leaves through ``os._exit``, and this process always
+reaps it, killing it first when its own part fails.  An exception in the
+helper is raised here with its type and message.  Sequence, giant steps
+and meter are those of the serial pass: the helper's products are charged
+as the forward applications they stand in for.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from math import isqrt
 from operator import mul
@@ -74,13 +93,18 @@ def wiedemann_sequence(op: LinearOp, u: list, v: list, length: int,
     reduced from ``apply_transpose``.  Below the rule the dots stay: the
     packed path takes 1.2-1.4x their time at n = 10 and breaks even
     between n = 25 and 56 (``micro`` in BENCH_packed-projections.json).
-    The meter charges every term a dot product.
+    The meter charges every term a dot product.  From ``_SPLIT_MIN`` up a
+    sequence longer than n takes every projection through the transposed
+    chain in a forked helper (``_split_sequence``), where the rule above
+    allows it.
     """
     if length < 1:
         raise UsageError("sequence length must be >= 1")
     n = op.n
     if len(u) != n or len(v) != n:
         raise UsageError("projection dimension mismatch")
+    if n >= _SPLIT_MIN and length > n and _may_fork():
+        return _split_sequence(op, u, v, length, meter, giants)
     p = op.field.p
     seq = []
     cur = list(v)
@@ -108,6 +132,129 @@ def wiedemann_sequence(op: LinearOp, u: list, v: list, length: int,
         elif i % block == 0:
             x = [a % p for a in cur]
             seq += _unpack(sum(map(mul, x, q)), w, block, p)[:length - i]
+    return seq
+
+
+# From this n up a sequence longer than n runs on two processes.  Forking
+# the helper and its set-up and compiling of A^T cost milliseconds: on two
+# vCPUs the split pass took 0.7-1.8x the serial pass's time at n = 150,
+# 0.7-1.05x at 200 and 0.6-0.95x at 250 (sparse A with a dense u, and
+# A*Gamma with e_1; BENCH_krylov-split.json).
+_SPLIT_MIN = 256
+
+
+def _may_fork() -> bool:
+    """Whether a helper process can run beside this one on another CPU."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return hasattr(os, "fork") and cpus >= 2 and threading.active_count() == 1
+
+
+def _transposed_rows(op: LinearOp, u: list, top: int, s: int, w: int) -> bytes:
+    """Rows (A^T)^j u, j < s, then rows top - s < j <= top, as two blocks.
+
+    Block b is n runs of s w-byte slots: run k holds coordinate k of the
+    block's rows in order, reduced mod p.
+    """
+    row = [c % op.field.p for c in u]
+    low, high = [], deque(maxlen=s)
+    for j in range(top + 1):
+        if j:
+            row = op.apply_transpose(row)
+        if j < s:
+            low.append(row)
+        high.append(row)
+    blocks = []
+    for rows in (low, high):
+        slots = [c for col in zip(*rows) for c in col]
+        blocks.append(_pack(slots, w).to_bytes(len(slots) * w, "little"))
+    return b"".join(blocks)
+
+
+def _helper(op: LinearOp, u: list, top: int, s: int, w: int, fd: int):
+    """Body of the forked helper: write 0 and the rows, or 1 and the error
+    pickled, then exit with that code."""
+    code = 1
+    try:
+        try:
+            data, code = _transposed_rows(op, u, top, s, w), 0
+        except Exception as exc:    # sent to the parent, which raises it
+            try:
+                data = pickle.dumps(exc)
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with open(fd, "wb") as pipe:
+            pipe.write(bytes([code]) + data)
+    finally:
+        os._exit(code)
+
+
+def _split_sequence(op: LinearOp, u: list, v: list, length: int,
+                    meter: CostMeter | None, giants: list | None) -> list:
+    """``wiedemann_sequence`` with (A^T)^j u computed in a forked helper.
+
+    Here x_i = A^i v for i <= h = max(n, length // 2); the helper computes
+    y_j = (A^T)^j u for j <= top = max(length - 1 - h, s - 1) and sends
+    its first s and last s rows.  u^T A^(i+j) v = y_j . x_i, so each x_i
+    with i a multiple of s, and x_h, gives terms i + r and i + top - s + 1
+    + r, r < s, in one packed product per block; together they cover
+    every term.  The meter charges the helper's length - 1 - h products as
+    that many applications of A, each costing what the first one here
+    cost.
+    """
+    n, p = op.n, op.field.p
+    s = isqrt(n)
+    h = max(n, length // 2)
+    top = max(length - 1 - h, s - 1)
+    w = _slot_bytes(p, n)
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if not pid:
+        os.close(rfd)
+        _helper(op, u, top, s, w, wfd)
+    os.close(wfd)
+    try:
+        with open(rfd, "rb") as pipe:
+            unit = CostMeter()
+            cur, points = list(v), []
+            for i in range(h + 1):
+                if i:
+                    cur = matvec(op, cur, unit if i == 1 else meter)
+                if i % s == 0 or i == h:
+                    points.append((i, cur))
+                if giants is not None and i < n and i % s == 0:
+                    giants.append(cur)
+            ok = pipe.read(1) == b"\0"
+            seq, size = [0] * length, s * w
+            for offset in (0, top - s + 1) if ok else ():
+                block = memoryview(pipe.read(n * size))
+                q = [int.from_bytes(block[k:k + size], "little")
+                     for k in range(0, n * size, size)]
+                for i, x in points:
+                    terms = _unpack(sum(map(mul, [a % p for a in x], q)), w, s, p)
+                    seq[i + offset:i + offset + s] = terms[:max(length - i - offset, 0)]
+            error = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 1 and error:
+        raise pickle.loads(error)
+    if code:
+        raise ChildProcessError(f"Krylov helper ended with exit code {code}")
+    if meter is not None:
+        times = length - h
+        for name, count in vars(unit).items():
+            setattr(meter, name, getattr(meter, name) + times * count)
+        meter.mul += length * n
+        meter.add += length * (n - 1)
     return seq
 
 

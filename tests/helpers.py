@@ -1,11 +1,12 @@
 """Test-only helpers: an identity matrix, a seeded interactive session, a
-scripted challenge source, a Fiat-Shamir source that hashes the whole
+counter of forks, a scripted challenge source, a Fiat-Shamir source that hashes the whole
 material on every draw, three dense references (a linear solve, a
 single-matrix determinant and a vector's Krylov annihilator) and
 per-element references for the bulk int/bytes conversions (Kronecker
 slots, vector wire bytes and vector parsing) that no library path runs."""
 
 import hashlib
+import os
 from random import Random
 
 from certilin import HonestProver, SparseMatrix
@@ -17,6 +18,13 @@ from certilin.oracle import _krylov_minpoly, materialize
 
 def identity_matrix(field, n):
     return SparseMatrix(field, n, [(i, i, 1) for i in range(n)])
+
+
+def count_forks(monkeypatch) -> list:
+    """A list that gains one entry for each ``os.fork`` call from now on."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
 
 
 def seeded_session(protocol, a, seed, prover=None, u=None, v=None):

@@ -477,3 +477,21 @@ def test_apply_transpose_matches_materialized_transpose():
             x = [rng.randrange(p) + p * rng.choice([-1, 0, 2]) for _ in range(n)]
             want = [sum(c * xi for c, xi in zip(col, x)) % p for col in cols]
             assert op.apply_transpose(x) == want
+
+
+def test_transposed_product_compiles_on_the_same_rule(fbig):
+    # x^T A is the apply of the transposed matrix, kept in the matrix's
+    # cache: cold for its first _COMPILE_AFTER calls, compiled after, equal
+    # to the per-entry sum throughout.
+    a = gen_sparse(fbig, 30, 0.2, Random(11))
+    rng = Random(12)
+    cols = a.to_dense()
+    for k in range(_COMPILE_AFTER + 2):
+        x = [rng.randrange(fbig.p) - fbig.p * (k % 3) for _ in range(a.n)]
+        want = [sum(row[j] * xi for row, xi in zip(cols, x)) % fbig.p
+                for j in range(a.n)]
+        assert a.apply_transpose(x) == want
+        t = a._cache[blackbox._TRANSPOSE]
+        assert (_CODE in t._cache) == (k + 1 >= _COMPILE_AFTER)
+    assert t.entries == tuple(sorted((j, i, v) for i, j, v in a.entries))
+    assert _CODE not in a._cache

@@ -1,3 +1,6 @@
+import os
+import threading
+import time
 from dataclasses import replace
 from math import isqrt
 from random import Random
@@ -17,7 +20,7 @@ from certilin.harness import gen_sparse
 from certilin.polynomial import _HGCD_MIN, _pack
 
 from conftest import PRIME_BIG
-from helpers import dense_solve, identity_matrix, vector_minpoly
+from helpers import count_forks, dense_solve, identity_matrix, vector_minpoly
 
 
 def P(field, *coeffs):
@@ -549,3 +552,156 @@ def test_sequence_packed_needs_apply_transpose():
     assert len(wiedemann_sequence(op, [1] + [0] * (n - 1), v, 2 * n)) == 2 * n
     with pytest.raises(NotImplementedError):
         wiedemann_sequence(op, [1] * n, v, 2 * n)
+
+
+# From krylov._SPLIT_MIN up a sequence longer than n runs its transposed
+# chain (A^T)^j u in a forked helper.  These tests lower the rule to the
+# packing rule so that the split runs at small n.
+needs_fork = pytest.mark.skipif(not krylov._may_fork(),
+                                reason="the split needs os.fork and two CPUs")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("n, p", [(_HGCD_MIN, 101), (_HGCD_MIN + 8, 2**62 - 57)])
+def test_split_matches_the_serial_pass(monkeypatch, n, p):
+    # Sequence, giant steps and meter equal the serial pass's for the
+    # operators the protocols build and one whose apply is unreduced, with
+    # e_1, dense and zero projections, at the lengths a generator pair and
+    # the harness ask for, and at 3n, where this process runs past A^n v.
+    f = PrimeField(p)
+    rng = Random(n + p)
+    a = gen_sparse(f, n, 4 / n, rng)
+    gamma = GammaMatrix(f, n, rng.randrange(p), rng.randrange(p))
+    diag = DiagonalMatrix(f, [rng.randrange(1, p) for _ in range(n)])
+    ops = (a, ProductOp(a, gamma), ProductOp(diag, a),
+           ShiftOp(rng.randrange(p), ProductOp(a, gamma)), OffsetOp(a, -p))
+    us = ([1] + [0] * (n - 1), [unreduced(rng, p) for _ in range(n)], [0] * n)
+    forks = count_forks(monkeypatch)
+    runs = 0
+    for op in ops:
+        for u in us:
+            v = [unreduced(rng, p) for _ in range(n)]
+            for length in (2 * n - 1, 2 * n, 3 * n):
+                monkeypatch.setattr(krylov, "_SPLIT_MIN", n + 1)
+                serial, serial_meter, serial_giants = _sequence(op, u, v, length)
+                monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
+                split, split_meter, split_giants = _sequence(op, u, v, length)
+                runs += 1
+                assert len(forks) == runs
+                assert split == serial and split_meter == serial_meter
+                assert split_giants == serial_giants
+                assert split_meter.matvec == length - 1
+    assert_no_child_left()
+
+
+def _sequence(op, u, v, length):
+    meter, giants = CostMeter(), []
+    return wiedemann_sequence(op, u, v, length, meter, giants), meter, giants
+
+
+class FailingTranspose(OffsetOp):
+    def apply_transpose(self, x):
+        raise UsageError(f"no transpose for n = {self.n}")
+
+
+class LocalError(Exception):
+    """An exception whose class cannot be found again by its module path."""
+
+
+LocalError.__qualname__ = "nowhere.LocalError"
+
+
+class UnpicklableTranspose(OffsetOp):
+    def apply_transpose(self, x):
+        raise LocalError("lost class")
+
+
+@needs_fork
+def test_no_helper_outlives_a_pass(monkeypatch):
+    # The helper is reaped after a pass that succeeds and after one whose
+    # helper fails; its exception reaches the caller with type and message,
+    # or as RuntimeError naming it when its class cannot be sent.
+    f = PrimeField(101)
+    n = _HGCD_MIN
+    monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
+    forks = count_forks(monkeypatch)
+    a = gen_sparse(f, n, 4 / n, Random(1))
+    v = [1] * n
+    assert len(wiedemann_sequence(a, v, v, 2 * n)) == 2 * n
+    assert_no_child_left()
+
+    class ApplyOnly(OffsetOp):
+        apply_transpose = LinearOp.apply_transpose
+
+    for u in ([1] + [0] * (n - 1), v):
+        with pytest.raises(NotImplementedError):
+            wiedemann_sequence(ApplyOnly(a, 0), u, v, 2 * n)
+        assert_no_child_left()
+    with pytest.raises(UsageError, match=f"^no transpose for n = {n}$"):
+        wiedemann_sequence(FailingTranspose(a, 0), v, v, 2 * n)
+    with pytest.raises(RuntimeError, match="^LocalError: lost class$"):
+        wiedemann_sequence(UnpicklableTranspose(a, 0), v, v, 2 * n)
+    assert_no_child_left()
+    assert len(forks) == 5
+
+
+@needs_fork
+def test_parent_error_kills_and_reaps_the_helper(monkeypatch):
+    # An error in the parent's own chain ends a helper that would run on for
+    # a minute, and reaps it; unkilled, the helper would hold the reaping
+    # wait for that minute.
+    f = PrimeField(101)
+    n = _HGCD_MIN
+    monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
+
+    class Stuck(OffsetOp):
+        calls = 0
+
+        def apply(self, x, meter=None):
+            self.calls += 1
+            if self.calls == n // 2:
+                raise IntegrityError("apply failed")
+            return super().apply(x, meter)
+
+        def apply_transpose(self, x):
+            time.sleep(60)
+            raise UsageError("helper not stopped")
+
+    start = time.perf_counter()
+    with pytest.raises(IntegrityError, match="apply failed"):
+        wiedemann_sequence(Stuck(gen_sparse(f, n, 4 / n, Random(2)), 0),
+                           [1] * n, [1] * n, 2 * n)
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
+
+
+def test_no_fork_below_the_rule_or_beside_a_thread(monkeypatch):
+    # Below the rule, for a sequence of at most n terms, and while another
+    # thread runs, the serial pass runs and nothing forks.
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    f = PrimeField(101)
+    n = _HGCD_MIN
+    a = gen_sparse(f, n, 4 / n, Random(3))
+    v = [1] * n
+    want, _ = dense_dot_sequence(a, v, v, 2 * n)
+    monkeypatch.setattr(krylov, "_SPLIT_MIN", n + 1)
+    assert wiedemann_sequence(a, v, v, 2 * n) == want
+    monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
+    assert wiedemann_sequence(a, v, v, n) == want[:n]
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert wiedemann_sequence(a, v, v, 2 * n) == want
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()

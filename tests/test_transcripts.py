@@ -12,6 +12,7 @@ from certilin import (Accept, Bezout, Commitment, CostMeter,
                       budget_report, certify_det_gamma, certify_minpoly,
                       fiat_shamir, matrix_digest, oracle_det,
                       parse_transcript, verify_noninteractive)
+from certilin import krylov
 from certilin.harness import (_corrupt_payload_byte, gen_nonsingular,
                               gen_singular, gen_sparse,
                               random_nonsingular_dense_checked, run_protocol,
@@ -23,7 +24,7 @@ from certilin.messages import (DiagonalAnnounce, GammaAnnounce,
 from certilin.protocol import PROTOCOL_IDS
 from certilin.provers import SingularDenialProver, WrongGeneratorProver
 
-from helpers import (RehashingFiatShamir, ScriptedChallenges,
+from helpers import (RehashingFiatShamir, ScriptedChallenges, count_forks,
                      identity_matrix, reference_parse_vec,
                      reference_vec_bytes)
 
@@ -114,6 +115,30 @@ def test_fs_transcript_pinned_at_n150(fbig, protocol, digest, field_ops):
     assert hashlib.sha256(transcript.render().encode()).hexdigest() == digest
     assert transcript.prover_meter.matvec == 2 * n - 1 + isqrt(n)
     assert transcript.prover_meter.field_ops == field_ops
+
+
+@pytest.mark.parametrize("protocol, digest", [
+    ("det-gamma", "08c5b8accf14489b8b39ca74586de20da7c9f615713e87e4f14d0e9d04a67e86"),
+    ("minpoly", "bf35d2306d1959f6f22c7e675c5ac3d823f6f48437ff3efbda321c5e670d7d92"),
+])
+def test_fs_transcript_pinned_at_the_split_rule(fbig, monkeypatch, protocol, digest):
+    # At n = krylov._SPLIT_MIN the prover's Krylov passes run their
+    # transposed chain in a forked helper (given fork and two CPUs): the
+    # transcript and prover meter equal those of the serial passes, which
+    # run with the rule moved above n.
+    n = krylov._SPLIT_MIN
+    a = gen_nonsingular(fbig, n, Random(n), 5 / n)
+    forks = count_forks(monkeypatch)
+    sessions = []
+    for rule in (n, n + 1):
+        monkeypatch.setattr(krylov, "_SPLIT_MIN", rule)
+        transcript, outcome = fiat_shamir(protocol, a, HonestProver(fbig, Random(1)))
+        assert isinstance(outcome, Accept)
+        sessions.append((transcript.render(), transcript.prover_meter, len(forks)))
+    assert sessions[0][:2] == sessions[1][:2]
+    assert sessions[0][2] == sessions[1][2] == (1 if krylov._may_fork() else 0)
+    assert hashlib.sha256(sessions[0][0].encode()).hexdigest() == digest
+    assert sessions[0][1].matvec == 2 * n - 1 + isqrt(n)
 
 
 def _size_rule_corpus():
