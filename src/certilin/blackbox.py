@@ -19,8 +19,12 @@ per-entry loop, ``apply`` runs straight-line functions with the entries
 written in as int literals, cached in the matrix's ``_cache``.  They run
 in about 0.6x the loop's time; results and meter charges are identical.
 A matrix applied only once or twice, as by a verifier, stays on the loop.
-Its transposed product is the ``apply`` of the transposed matrix, built on
-the first call and kept in the same cache, so it compiles by the same rule.
+Its transposed product is the ``apply`` of the transposed matrix, kept in
+the same cache.  It is built on the first transposed call and compiles by
+the same rule, or, once the matrix itself is compiled, by
+``_warm_transpose``: the Krylov pass calls that hook before it forks its
+helper, so from a matrix's second split pass on the helper inherits a
+compiled A^T instead of building and compiling its own copy.
 
 The file format is SMS-style: a header line "n n p", entry lines "i j v"
 with 1-based coordinates and arbitrary integer values (reduced mod p),
@@ -59,6 +63,16 @@ class LinearOp:
     def matvec_cost(self) -> int:
         """Field operations charged by one application (the mu of this box)."""
         raise NotImplementedError
+
+    def _warm_transpose(self) -> None:
+        """Prepare ``apply_transpose`` for a helper forked right after.
+
+        ``krylov._split_sequence`` calls it just before each fork.  This
+        default does nothing, so a custom operator needs no override.  A
+        ``SparseMatrix`` whose own matvec is compiled (from its second
+        split pass on) compiles its cached transpose here, and products
+        and shifts forward the call to their factors.
+        """
 
 
 def matvec(op: LinearOp, x: list, meter: CostMeter | None = None) -> list:
@@ -181,11 +195,21 @@ class SparseMatrix(LinearOp):
         return y
 
     def apply_transpose(self, x: list) -> list:
+        return self._transpose().apply(x)
+
+    def _transpose(self) -> SparseMatrix:
         t = self._cache.get(_TRANSPOSE)
         if t is None:
             t = self._cache[_TRANSPOSE] = SparseMatrix(
                 self.field, self.n, [(j, i, v) for i, j, v in self.entries])
-        return t.apply(x)
+        return t
+
+    def _warm_transpose(self) -> None:
+        # Only once A itself is compiled: a one-shot pass pays no compile.
+        if _CODE in self._cache:
+            t = self._transpose()
+            if _CODE not in t._cache:
+                t._cache[_CODE] = _compile(t)
 
     def matvec_cost(self) -> int:
         return 2 * self.nnz
@@ -291,6 +315,10 @@ class ProductOp(LinearOp):
     def apply_transpose(self, x: list) -> list:
         return self.right.apply_transpose(self.left.apply_transpose(x))
 
+    def _warm_transpose(self) -> None:
+        self.left._warm_transpose()
+        self.right._warm_transpose()
+
     def matvec_cost(self) -> int:
         return self.left.matvec_cost() + self.right.matvec_cost()
 
@@ -318,6 +346,9 @@ class ShiftOp(LinearOp):
     def apply_transpose(self, x: list) -> list:
         p, r = self.field.p, self.r
         return [(r * xi - yi) % p for xi, yi in zip(x, self.inner.apply_transpose(x))]
+
+    def _warm_transpose(self) -> None:
+        self.inner._warm_transpose()
 
     def matvec_cost(self) -> int:
         return self.inner.matvec_cost() + 2 * self.n

@@ -40,11 +40,16 @@ powers and sends back its first s and last s rows, packed per coordinate,
 over a pipe.  Each giant step, and A^h v, then gives s terms per block in
 one packed product.
 The helper inherits the operator, so nothing but rows and an error is
-sent; it always leaves through ``os._exit``, and this process always
-reaps it, killing it first when its own part fails.  An exception in the
-helper is raised here with its type and message.  Sequence, giant steps
-and meter are those of the serial pass: the helper's products are charged
-as the forward applications they stand in for.
+sent.  Just before the fork this process calls the operator's
+``_warm_transpose``: a sparse A whose own matvec is compiled (from its
+second split pass on) compiles A^T here, once, and every later helper
+inherits it; a custom operator inherits a no-op.  The helper still makes
+every transposed product.  It always leaves through ``os._exit``, and
+this process always reaps it, killing it first when its own part fails.
+An exception in the helper is raised here with its type and message.
+Sequence, giant steps and meter are those of the serial pass: the
+helper's products are charged as the forward applications they stand in
+for.
 """
 
 from __future__ import annotations
@@ -208,6 +213,7 @@ def _split_sequence(op: LinearOp, u: list, v: list, length: int,
     h = max(n, length // 2)
     top = max(length - 1 - h, s - 1)
     w = _slot_bytes(p, n)
+    op._warm_transpose()
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()

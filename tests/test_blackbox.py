@@ -495,3 +495,36 @@ def test_transposed_product_compiles_on_the_same_rule(fbig):
         assert (_CODE in t._cache) == (k + 1 >= _COMPILE_AFTER)
     assert t.entries == tuple(sorted((j, i, v) for i, j, v in a.entries))
     assert _CODE not in a._cache
+
+
+def test_warm_transpose_waits_for_the_compiled_matrix(fbig, monkeypatch):
+    # _warm_transpose builds and compiles nothing for a fresh matrix; once
+    # the matrix is compiled it compiles the cached transpose, reached
+    # through products and shifts too, and a second call compiles nothing.
+    calls, real = [], blackbox._compile
+    monkeypatch.setattr(blackbox, "_compile", lambda m: calls.append(m) or real(m))
+    n, p = 64, fbig.p
+    rng = Random(13)
+    entries = gen_sparse(fbig, n, 4 / n, rng).entries
+    gamma = GammaMatrix(fbig, n, rng.randrange(p), rng.randrange(p))
+    r = rng.randrange(p)
+    for wrap in (lambda a: a, lambda a: ProductOp(a, gamma),
+                 lambda a: ShiftOp(r, ProductOp(a, gamma))):
+        a = SparseMatrix(fbig, n, entries)
+        op = wrap(a)
+        op._warm_transpose()
+        assert not calls and blackbox._TRANSPOSE not in a._cache
+        for _ in range(_COMPILE_AFTER):
+            a.apply([0] * n)
+        assert calls == [a]
+        op._warm_transpose()
+        t = a._cache[blackbox._TRANSPOSE]
+        assert calls == [a, t] and _CODE in t._cache
+        op._warm_transpose()
+        assert calls == [a, t]
+        x = [rng.randrange(p) + p * rng.choice([-1, 0, 2]) for _ in range(n)]
+        want = [0] * n
+        for i, j, v in entries:
+            want[j] += x[i] * v
+        assert t.apply(x) == a.apply_transpose(x) == [c % p for c in want]
+        calls.clear()

@@ -13,7 +13,7 @@ from certilin import (BadShiftError, CostMeter, HonestProver, IntegrityError,
                       minimal_generator_pair, oracle_det, oracle_kernel,
                       oracle_minpoly, poly_gcd, poly_lcm, residue_polynomial,
                       solve_shifted, wiedemann_sequence)
-from certilin import krylov
+from certilin import blackbox, krylov
 from certilin.blackbox import (DiagonalMatrix, GammaMatrix, LinearOp, ProductOp,
                                ShiftOp, matvec)
 from certilin.harness import gen_sparse
@@ -596,6 +596,37 @@ def test_split_matches_the_serial_pass(monkeypatch, n, p):
                 assert split == serial and split_meter == serial_meter
                 assert split_giants == serial_giants
                 assert split_meter.matvec == length - 1
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_warm_helper_compiles_nothing(monkeypatch):
+    # Once A is compiled, the helper inherits a compiled A^T.  At this n its
+    # n - 1 transposed products would otherwise compile a copy of their
+    # own, and a compile outside this process raises here.
+    f = PrimeField(2**62 - 57)
+    p, n = f.p, _HGCD_MIN + 8
+    rng = Random(n)
+    a = gen_sparse(f, n, 4 / n, rng)
+    for _ in range(blackbox._COMPILE_AFTER):
+        a.apply([0] * n)
+    assert blackbox._CODE in a._cache
+    pid, real = os.getpid(), blackbox._compile
+
+    def in_this_process(m):
+        if os.getpid() != pid:
+            raise UsageError("compiled in the helper")
+        return real(m)
+
+    monkeypatch.setattr(blackbox, "_compile", in_this_process)
+    gamma = GammaMatrix(f, n, rng.randrange(p), rng.randrange(p))
+    for op, u in ((a, [unreduced(rng, p) for _ in range(n)]),
+                  (ProductOp(a, gamma), [1] + [0] * (n - 1))):
+        v = [unreduced(rng, p) for _ in range(n)]
+        monkeypatch.setattr(krylov, "_SPLIT_MIN", n + 1)
+        serial = _sequence(op, u, v, 2 * n)
+        monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
+        assert _sequence(op, u, v, 2 * n) == serial
     assert_no_child_left()
 
 
