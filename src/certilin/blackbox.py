@@ -55,8 +55,8 @@ class LinearOp:
         """x^T A, reduced mod p; unmetered.
 
         The prover's Krylov pass needs it from n >= 64 with a projection of
-        two or more nonzero entries, and from ``krylov._SPLIT_MIN`` with
-        every projection (``krylov.wiedemann_sequence``).
+        two or more nonzero entries, and with every projection when it forks
+        its helper, from ``krylov._SPLIT_MIN`` (``krylov.wiedemann_sequence``).
         """
         raise NotImplementedError
 
@@ -67,7 +67,7 @@ class LinearOp:
     def _warm_transpose(self) -> None:
         """Prepare ``apply_transpose`` for a helper forked right after.
 
-        ``krylov._split_sequence`` calls it just before each fork.  This
+        ``krylov.wiedemann_sequence`` calls it just before each fork.  This
         default does nothing, so a custom operator needs no override.  A
         ``SparseMatrix`` whose own matvec is compiled (from its second
         split pass on) compiles its cached transpose here, and products

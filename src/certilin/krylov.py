@@ -17,39 +17,43 @@ From the half-gcd's size rule ``polynomial._HGCD_MIN`` up (deg f for the
 residue, n for the sequence and the solve) they run on its Kronecker
 packing: the residue is one packed product, and each giant step is packed
 once, so that a baby-step combination is one sum of big-by-small products,
-unpacked once.  The sequence uses the transposition principle (Bostan,
-Lecerf & Schost 2003): u^T A^(i+r) v = ((A^T)^r u) . (A^i v), so s - 1
-unmetered transposed products pack the rows (A^T)^r u, r < s, per
-coordinate, and each giant step gives the next s terms in one sum of
-big-by-small products instead of s dot products.  ``polynomial._pack``
-and ``_unpack`` convert whole lists between ints and slots of
-little-endian bytes, whatever the host's byte order, through 8-byte
-machine words: every packed operand is reduced to canonical residues
-first, and each unpack returns residues mod p, so no reduction pass
-follows it.  A projection u with at
-most one nonzero entry (det-gamma's e_1) takes each sequence term as one
-product.  Results and matvec counts are the same bit for bit, and the
-meter still charges each term the n multiplications and n - 1 additions
-of a dense dot product.
+unpacked once.  ``polynomial._pack`` and ``_unpack`` convert whole lists
+between ints and slots of little-endian bytes, whatever the host's byte
+order, through 8-byte machine words: every packed operand is reduced to
+canonical residues first, and each unpack returns residues mod p.
 
-From n = ``_SPLIT_MIN`` up, when the process may run on two CPUs, can
-fork and runs one thread, a sequence longer than n runs on two processes
-with any projection: this one computes A^i v for i <= h = max(n, length
-// 2), and a helper forked for the pass computes (A^T)^j u for the other
-powers and sends back its first s and last s rows, packed per coordinate,
-over a pipe.  Each giant step, and A^h v, then gives s terms per block in
-one packed product.
+The sequence is one pass: one chain computes x_i = A^i v for i <= h and
+keeps the giant steps.  Below the size rule, and for a u with at most one
+nonzero entry (det-gamma's e_1) when no helper runs, x_i gives term i as a
+dot or one product.  Otherwise the pass uses the transposition principle
+(Bostan, Lecerf & Schost 2003): u^T A^(i+j) v = ((A^T)^j u) . x_i, so with
+the rows (A^T)^j u packed per coordinate, s to a block, each x_i with i a
+multiple of s gives s terms per block in one sum of big-by-small products.
+From n = ``_SPLIT_MIN`` up a sequence longer than n has its rows made by a
+helper process forked for the pass, beside this process's chain to
+h = max(n, length // 2): the helper computes (A^T)^j u for j <= top =
+max(length - 1 - h, s - 1) and sends its first s and last s rows over a
+pipe, and x_h gives terms too.  Otherwise this process makes one block of
+s rows itself, with s - 1 transposed products, and runs its chain to
+h = length - 1.  It also does so when the process may not run on two CPUs,
+has no ``os.fork``, runs another thread or ignores SIGCHLD (a wait would
+then block until every child had ended, and fail), and when ``os.fork``
+fails (EAGAIN, ENOMEM).  Sequence, giant steps and meter are the same bit
+for bit in every case: the meter charges length - 1 applications of A, the
+helper's products standing in for forward ones of the same cost, and each
+term the n multiplications and n - 1 additions of a dense dot product.
+
 The helper inherits the operator, so nothing but rows and an error is
 sent.  Just before the fork this process calls the operator's
 ``_warm_transpose``: a sparse A whose own matvec is compiled (from its
 second split pass on) compiles A^T here, once, and every later helper
-inherits it; a custom operator inherits a no-op.  The helper still makes
-every transposed product.  It always leaves through ``os._exit``, and
-this process always reaps it, killing it first when its own part fails.
-An exception in the helper is raised here with its type and message.
-Sequence, giant steps and meter are those of the serial pass: the
-helper's products are charged as the forward applications they stand in
-for.
+inherits it; a custom operator inherits a no-op.  The helper always leaves
+through ``os._exit``, and this process always reaps it, killing it first
+when its own part fails.  An exception in the helper is raised here with
+its type and message.  A complete reply (status byte 0 and every block) is
+kept even when a SIGCHLD handler reaped the helper first, so that its exit
+code is unknowable (ECHILD): the helper sends that reply only after its
+last row.  Any other reply raises ``ChildProcessError``.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ import pickle
 import signal
 import threading
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
 from math import isqrt
 from operator import mul
@@ -90,53 +95,76 @@ def wiedemann_sequence(op: LinearOp, u: list, v: list, length: int,
     """(u^T A^i v) for i < length, using length-1 matvecs.
 
     A ``giants`` list receives A^i v for every i < min(length, n) that is a
-    multiple of s = isqrt(n).  From n >= _HGCD_MIN a u with two or more
-    nonzero entries takes no dot per term: slot r of q_k holds
-    ((A^T)^r u)_k for r < min(s, length), and u^T A^(i+r) v =
-    ((A^T)^r u) . (A^i v) reads s terms at once from sum_k (A^i v)_k q_k
-    at every s-th iterate; the iterate is reduced first, the rows come
-    reduced from ``apply_transpose``.  Below the rule the dots stay: the
-    packed path takes 1.2-1.4x their time at n = 10 and breaks even
-    between n = 25 and 56 (``micro`` in BENCH_packed-projections.json).
-    The meter charges every term a dot product.  From ``_SPLIT_MIN`` up a
-    sequence longer than n takes every projection through the transposed
-    chain in a forked helper (``_split_sequence``), where the rule above
-    allows it.
+    multiple of s = isqrt(n).  The rows come reduced from
+    ``apply_transpose``, and each x_i is reduced before its packed product.
+    Below _HGCD_MIN the dots stay for every u: the packed path takes
+    1.2-1.4x their time at n = 10 and breaks even between n = 25 and 56
+    (``micro`` in BENCH_packed-projections.json).  The chain here makes h
+    applications of A; the meter charges the first one length - h times,
+    length - 1 in all, and every term a dot product.
     """
     if length < 1:
         raise UsageError("sequence length must be >= 1")
     n = op.n
     if len(u) != n or len(v) != n:
         raise UsageError("projection dimension mismatch")
+    p, s = op.field.p, min(isqrt(n), length)
+    w = _slot_bytes(p, n)
+    pid = 0
     if n >= _SPLIT_MIN and length > n and _may_fork():
-        return _split_sequence(op, u, v, length, meter, giants)
-    p = op.field.p
-    seq = []
-    cur = list(v)
-    stride = isqrt(n)
+        h = max(n, length // 2)
+        pid, pipe = _fork(op, u, max(length - 1 - h, s - 1), s, w)
+    if not pid:
+        h = length - 1
+    top = max(length - 1 - h, s - 1)
     nonzero = [j for j, c in enumerate(u) if c]
     j = nonzero[0] if nonzero else 0
-    block = min(stride, length) if len(nonzero) > 1 and n >= _HGCD_MIN else 0
-    if block:
-        w = _slot_bytes(p, n)
-        q = row = [c % p for c in u]
-        for r in range(1, block):
-            row = op.apply_transpose(row)
-            q = [a + (b << (8 * w * r)) for a, b in zip(q, row)]
-    for i in range(length):
-        if i:
-            cur = matvec(op, cur, meter)
-        if giants is not None and i < n and i % stride == 0:
-            giants.append(cur)
-        if meter is not None:
-            meter.mul += n
-            meter.add += n - 1
-        if not block:
-            seq.append((sum(map(mul, u, cur)) if len(nonzero) > 1
-                        else u[j] * cur[j]) % p)
-        elif i % block == 0:
-            x = [a % p for a in cur]
-            seq += _unpack(sum(map(mul, x, q)), w, block, p)[:length - i]
+    packed = pid or n >= _HGCD_MIN and len(nonzero) > 1
+    rows = _transposed_rows(op, u, top, s, w) if packed and not pid else b""
+    unit, seq, points, code = CostMeter(), [0] * length, [], None
+    cur = list(v)
+    try:
+        for i in range(h + 1):
+            if i:
+                cur = matvec(op, cur, unit if i == 1 else meter)
+            if giants is not None and i < n and i % s == 0:
+                giants.append(cur)
+            if not packed:
+                seq[i] = (sum(map(mul, u, cur)) if len(nonzero) > 1
+                          else u[j] * cur[j]) % p
+            elif i % s == 0 or i == h < length - 1:
+                points.append((i, cur))
+        if pid:
+            rows = pipe.read()
+    except BaseException:
+        if pid:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        if pid:
+            pipe.close()
+            with suppress(ChildProcessError):   # reaped by a SIGCHLD handler
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    offsets = ((0, top - s + 1) if top >= s else (0,)) if packed else ()
+    size = s * w
+    if pid:
+        if rows[:1] == b"\1":
+            raise pickle.loads(rows[1:])
+        if rows[:1] != b"\0" or len(rows) != 1 + len(offsets) * n * size:
+            raise ChildProcessError(f"Krylov helper exited with code {code}")
+        rows = memoryview(rows)[1:]
+    for b, offset in enumerate(offsets):
+        q = [int.from_bytes(rows[k:k + size], "little")
+             for k in range(b * n * size, (b + 1) * n * size, size)]
+        for i, x in points:
+            terms = _unpack(sum(map(mul, [a % p for a in x], q)), w, s, p)
+            seq[i + offset:i + offset + s] = terms[:length - i - offset]
+    if meter is not None:
+        for name, count in vars(unit).items():
+            setattr(meter, name, getattr(meter, name) + (length - h) * count)
+        meter.mul += length * n
+        meter.add += length * (n - 1)
     return seq
 
 
@@ -149,16 +177,38 @@ _SPLIT_MIN = 256
 
 
 def _may_fork() -> bool:
-    """Whether a helper process can run beside this one on another CPU."""
+    """Whether a helper process can run beside this one on another CPU, and
+    be waited for here."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return hasattr(os, "fork") and cpus >= 2 and threading.active_count() == 1
+    return (hasattr(os, "fork") and cpus >= 2 and threading.active_count() == 1
+            and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN)
+
+
+def _fork(op: LinearOp, u: list, top: int, s: int, w: int):
+    """(pid, read end) of a helper forked to send the rows up to ``top``, or
+    (0, None) when ``os.fork`` fails."""
+    op._warm_transpose()
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException as exc:
+        os.close(rfd)
+        os.close(wfd)
+        if not isinstance(exc, OSError):
+            raise
+        return 0, None
+    if not pid:
+        os.close(rfd)
+        _helper(op, u, top, s, w, wfd)
+    os.close(wfd)
+    return pid, open(rfd, "rb")
 
 
 def _transposed_rows(op: LinearOp, u: list, top: int, s: int, w: int) -> bytes:
-    """Rows (A^T)^j u, j < s, then rows top - s < j <= top, as two blocks.
+    """Rows (A^T)^j u for j < s, then, when top >= s, for top - s < j <= top.
 
-    Block b is n runs of s w-byte slots: run k holds coordinate k of the
+    Each block is n runs of s w-byte slots: run k holds coordinate k of the
     block's rows in order, reduced mod p.
     """
     row = [c % op.field.p for c in u]
@@ -170,7 +220,7 @@ def _transposed_rows(op: LinearOp, u: list, top: int, s: int, w: int) -> bytes:
             low.append(row)
         high.append(row)
     blocks = []
-    for rows in (low, high):
+    for rows in (low, high) if top >= s else (low,):
         slots = [c for col in zip(*rows) for c in col]
         blocks.append(_pack(slots, w).to_bytes(len(slots) * w, "little"))
     return b"".join(blocks)
@@ -193,75 +243,6 @@ def _helper(op: LinearOp, u: list, top: int, s: int, w: int, fd: int):
             pipe.write(bytes([code]) + data)
     finally:
         os._exit(code)
-
-
-def _split_sequence(op: LinearOp, u: list, v: list, length: int,
-                    meter: CostMeter | None, giants: list | None) -> list:
-    """``wiedemann_sequence`` with (A^T)^j u computed in a forked helper.
-
-    Here x_i = A^i v for i <= h = max(n, length // 2); the helper computes
-    y_j = (A^T)^j u for j <= top = max(length - 1 - h, s - 1) and sends
-    its first s and last s rows.  u^T A^(i+j) v = y_j . x_i, so each x_i
-    with i a multiple of s, and x_h, gives terms i + r and i + top - s + 1
-    + r, r < s, in one packed product per block; together they cover
-    every term.  The meter charges the helper's length - 1 - h products as
-    that many applications of A, each costing what the first one here
-    cost.
-    """
-    n, p = op.n, op.field.p
-    s = isqrt(n)
-    h = max(n, length // 2)
-    top = max(length - 1 - h, s - 1)
-    w = _slot_bytes(p, n)
-    op._warm_transpose()
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(rfd)
-        os.close(wfd)
-        raise
-    if not pid:
-        os.close(rfd)
-        _helper(op, u, top, s, w, wfd)
-    os.close(wfd)
-    try:
-        with open(rfd, "rb") as pipe:
-            unit = CostMeter()
-            cur, points = list(v), []
-            for i in range(h + 1):
-                if i:
-                    cur = matvec(op, cur, unit if i == 1 else meter)
-                if i % s == 0 or i == h:
-                    points.append((i, cur))
-                if giants is not None and i < n and i % s == 0:
-                    giants.append(cur)
-            ok = pipe.read(1) == b"\0"
-            seq, size = [0] * length, s * w
-            for offset in (0, top - s + 1) if ok else ():
-                block = memoryview(pipe.read(n * size))
-                q = [int.from_bytes(block[k:k + size], "little")
-                     for k in range(0, n * size, size)]
-                for i, x in points:
-                    terms = _unpack(sum(map(mul, [a % p for a in x], q)), w, s, p)
-                    seq[i + offset:i + offset + s] = terms[:max(length - i - offset, 0)]
-            error = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 1 and error:
-        raise pickle.loads(error)
-    if code:
-        raise ChildProcessError(f"Krylov helper ended with exit code {code}")
-    if meter is not None:
-        times = length - h
-        for name, count in vars(unit).items():
-            setattr(meter, name, getattr(meter, name) + times * count)
-        meter.mul += length * n
-        meter.add += length * (n - 1)
-    return seq
 
 
 def residue_polynomial(gen: Poly, seq: list) -> Poly:

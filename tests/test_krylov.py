@@ -1,6 +1,9 @@
+import errno
 import os
+import signal
 import threading
 import time
+from contextlib import suppress
 from dataclasses import replace
 from math import isqrt
 from random import Random
@@ -600,6 +603,28 @@ def test_split_matches_the_serial_pass(monkeypatch, n, p):
 
 
 @needs_fork
+def test_a_short_split_matches_the_serial_pass(monkeypatch):
+    # Up to n + s terms the helper's last rows are its first s, so it sends
+    # one block; from n + s + 1 on it sends two.
+    f = PrimeField(2**62 - 57)
+    p, n = f.p, _HGCD_MIN
+    s, rng = isqrt(n), Random(6)
+    a = gen_sparse(f, n, 4 / n, rng)
+    gamma = GammaMatrix(f, n, rng.randrange(p), rng.randrange(p))
+    forks = count_forks(monkeypatch)
+    for op, u in ((a, [unreduced(rng, p) for _ in range(n)]),
+                  (ProductOp(a, gamma), [1] + [0] * (n - 1))):
+        v = [unreduced(rng, p) for _ in range(n)]
+        for length in (n + 1, n + 2, n + s, n + s + 1):
+            monkeypatch.setattr(krylov, "_SPLIT_MIN", n + 1)
+            serial = _sequence(op, u, v, length)
+            monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
+            assert _sequence(op, u, v, length) == serial
+    assert len(forks) == 8
+    assert_no_child_left()
+
+
+@needs_fork
 def test_a_warm_helper_compiles_nothing(monkeypatch):
     # Once A is compiled, the helper inherits a compiled A^T.  At this n its
     # n - 1 transposed products would otherwise compile a copy of their
@@ -712,8 +737,9 @@ def test_parent_error_kills_and_reaps_the_helper(monkeypatch):
 
 
 def test_no_fork_below_the_rule_or_beside_a_thread(monkeypatch):
-    # Below the rule, for a sequence of at most n terms, and while another
-    # thread runs, the serial pass runs and nothing forks.
+    # Below the rule, for a sequence of at most n terms, while another
+    # thread runs and while SIGCHLD is ignored, this process makes the rows
+    # and nothing forks.
     def no_fork():
         raise AssertionError("forked")
 
@@ -736,3 +762,91 @@ def test_no_fork_below_the_rule_or_beside_a_thread(monkeypatch):
         release.set()
         other.join(30)
     assert not other.is_alive()
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert wiedemann_sequence(a, v, v, 2 * n) == want
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+
+
+def test_a_failed_fork_makes_the_rows_here(monkeypatch):
+    # A fork that fails (EAGAIN) costs the pass its helper, not its result:
+    # both pipe ends are closed, this process makes the rows, and sequence,
+    # giant steps and meter are the serial pass's.
+    f = PrimeField(2**62 - 57)
+    p, n = f.p, _HGCD_MIN
+    rng = Random(5)
+    a = gen_sparse(f, n, 4 / n, rng)
+    gamma = GammaMatrix(f, n, rng.randrange(p), rng.randrange(p))
+    tries, pipes, pipe = [], [], os.pipe
+
+    def failing_fork():
+        tries.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def recorded_pipe():
+        fds = pipe()
+        pipes.extend(fds)
+        return fds
+
+    monkeypatch.setattr(krylov, "_may_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    for op, u in ((a, [unreduced(rng, p) for _ in range(n)]),
+                  (ProductOp(a, gamma), [1] + [0] * (n - 1))):
+        v = [unreduced(rng, p) for _ in range(n)]
+        monkeypatch.setattr(krylov, "_SPLIT_MIN", n + 1)
+        serial = _sequence(op, u, v, 2 * n)
+        monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
+        assert _sequence(op, u, v, 2 * n) == serial
+    assert len(tries) == 2 and len(pipes) == 4
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_reply_outlives_a_reaping_sigchld_handler(monkeypatch):
+    # A SIGCHLD handler that reaps every child takes the helper before this
+    # process waits for it, which then fails with ECHILD.  The helper's
+    # complete reply is kept: the pass gives the serial pass's result.  An
+    # error in this process's own chain after that reaping is raised as it
+    # is, not as a failure to kill the helper.
+    f = PrimeField(101)
+    n = _HGCD_MIN
+    reaped = []
+
+    def reap(signum, frame):
+        with suppress(ChildProcessError):
+            while pid := os.waitpid(-1, os.WNOHANG)[0]:
+                reaped.append(pid)
+
+    class AfterTheReaper(OffsetOp):
+        def apply(self, x, meter=None):
+            deadline = time.monotonic() + 30
+            while not reaped and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return super().apply(x, meter)
+
+    class FailsAfterTheReaper(AfterTheReaper):
+        def apply(self, x, meter=None):
+            super().apply(x, meter)
+            raise IntegrityError("apply failed")
+
+    a = gen_sparse(f, n, 4 / n, Random(4))
+    v = [1] * n
+    monkeypatch.setattr(krylov, "_SPLIT_MIN", n + 1)
+    serial = _sequence(OffsetOp(a, 0), v, v, 2 * n)
+    monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
+    old = signal.signal(signal.SIGCHLD, reap)
+    try:
+        assert _sequence(AfterTheReaper(a, 0), v, v, 2 * n) == serial
+        assert len(reaped) == 1
+        reaped.clear()
+        with pytest.raises(IntegrityError, match="^apply failed$"):
+            wiedemann_sequence(FailsAfterTheReaper(a, 0), v, v, 2 * n)
+        assert len(reaped) == 1
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+    assert_no_child_left()
