@@ -43,23 +43,24 @@ for bit in every case: the meter charges length - 1 applications of A, the
 helper's products standing in for forward ones of the same cost, and each
 term the n multiplications and n - 1 additions of a dense dot product.
 
-The helper inherits the operator, so nothing but rows and an error is
-sent.  Just before the fork this process calls the operator's
-``_warm_transpose``: a sparse A whose own matvec is compiled (from its
-second split pass on) compiles A^T here, once, and every later helper
-inherits it; a custom operator inherits a no-op.  The helper always leaves
-through ``os._exit``, and this process always reaps it, killing it first
-when its own part fails.  An exception in the helper is raised here with
-its type and message.  A complete reply (status byte 0 and every block) is
-kept even when a SIGCHLD handler reaped the helper first, so that its exit
-code is unknowable (ECHILD): the helper sends that reply only after its
-last row.  Any other reply raises ``ChildProcessError``.
+The helper inherits the operator, so nothing is sent to it, and it sends
+back exactly its rows or nothing.  Just before the fork this process
+calls the operator's ``_warm_transpose``: a sparse A whose own matvec is
+compiled (from its second split pass on) compiles A^T here, once, and
+every later helper inherits it; a custom operator inherits a no-op.  The
+helper always leaves through ``os._exit``, and this process always reaps
+it, killing it first when its own part fails.  One rule covers every way
+a helper can be missing: a packed pass without a whole reply (no helper, a
+failed fork, a helper that raised, was killed or sent a truncated reply)
+makes the rows up to top in this process after its chain, so that an
+operator's own error is raised here with its real type, message and
+traceback.  A whole reply is kept even when a SIGCHLD handler reaped the
+helper first (ECHILD).
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import threading
 from collections import deque
@@ -120,8 +121,7 @@ def wiedemann_sequence(op: LinearOp, u: list, v: list, length: int,
     nonzero = [j for j, c in enumerate(u) if c]
     j = nonzero[0] if nonzero else 0
     packed = pid or n >= _HGCD_MIN and len(nonzero) > 1
-    rows = _transposed_rows(op, u, top, s, w) if packed and not pid else b""
-    unit, seq, points, code = CostMeter(), [0] * length, [], None
+    unit, seq, points, rows = CostMeter(), [0] * length, [], b""
     cur = list(v)
     try:
         for i in range(h + 1):
@@ -145,15 +145,11 @@ def wiedemann_sequence(op: LinearOp, u: list, v: list, length: int,
         if pid:
             pipe.close()
             with suppress(ChildProcessError):   # reaped by a SIGCHLD handler
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                os.waitpid(pid, 0)
     offsets = ((0, top - s + 1) if top >= s else (0,)) if packed else ()
     size = s * w
-    if pid:
-        if rows[:1] == b"\1":
-            raise pickle.loads(rows[1:])
-        if rows[:1] != b"\0" or len(rows) != 1 + len(offsets) * n * size:
-            raise ChildProcessError(f"Krylov helper exited with code {code}")
-        rows = memoryview(rows)[1:]
+    if len(rows) != len(offsets) * n * size:
+        rows = _transposed_rows(op, u, top, s, w)
     for b, offset in enumerate(offsets):
         q = [int.from_bytes(rows[k:k + size], "little")
              for k in range(b * n * size, (b + 1) * n * size, size)]
@@ -186,8 +182,8 @@ def _may_fork() -> bool:
 
 
 def _fork(op: LinearOp, u: list, top: int, s: int, w: int):
-    """(pid, read end) of a helper forked to send the rows up to ``top``, or
-    (0, None) when ``os.fork`` fails."""
+    """(pid, read end) of a helper forked to write the rows up to ``top``
+    (nothing, if making them fails), or (0, None) when ``os.fork`` fails."""
     op._warm_transpose()
     rfd, wfd = os.pipe()
     try:
@@ -199,8 +195,12 @@ def _fork(op: LinearOp, u: list, top: int, s: int, w: int):
             raise
         return 0, None
     if not pid:
-        os.close(rfd)
-        _helper(op, u, top, s, w, wfd)
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as pipe:
+                pipe.write(_transposed_rows(op, u, top, s, w))
+        finally:    # an error here leaves the rows to the parent
+            os._exit(0)
     os.close(wfd)
     return pid, open(rfd, "rb")
 
@@ -224,25 +224,6 @@ def _transposed_rows(op: LinearOp, u: list, top: int, s: int, w: int) -> bytes:
         slots = [c for col in zip(*rows) for c in col]
         blocks.append(_pack(slots, w).to_bytes(len(slots) * w, "little"))
     return b"".join(blocks)
-
-
-def _helper(op: LinearOp, u: list, top: int, s: int, w: int, fd: int):
-    """Body of the forked helper: write 0 and the rows, or 1 and the error
-    pickled, then exit with that code."""
-    code = 1
-    try:
-        try:
-            data, code = _transposed_rows(op, u, top, s, w), 0
-        except Exception as exc:    # sent to the parent, which raises it
-            try:
-                data = pickle.dumps(exc)
-                pickle.loads(data)
-            except Exception:
-                data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-        with open(fd, "wb") as pipe:
-            pipe.write(bytes([code]) + data)
-    finally:
-        os._exit(code)
 
 
 def residue_polynomial(gen: Poly, seq: list) -> Poly:

@@ -1,15 +1,17 @@
-"""Test-only helpers: an identity matrix, a seeded interactive session, a
-counter of forks, a scripted challenge source, a Fiat-Shamir source that hashes the whole
-material on every draw, three dense references (a linear solve, a
-single-matrix determinant and a vector's Krylov annihilator) and
-per-element references for the bulk int/bytes conversions (Kronecker
-slots, vector wire bytes and vector parsing) that no library path runs."""
+"""Test-only helpers: an identity matrix, a seeded interactive session,
+counters of forks and of the Krylov rows made in this process, a
+Fiat-Shamir grinder, a scripted challenge source, a Fiat-Shamir source
+that hashes the whole material on every draw, three dense references (a
+linear solve, a single-matrix determinant and a vector's Krylov
+annihilator) and per-element references for the bulk int/bytes
+conversions (Kronecker slots, vector wire bytes and vector parsing) that
+no library path runs."""
 
 import hashlib
 import os
 from random import Random
 
-from certilin import HonestProver, SparseMatrix
+from certilin import Accept, HonestProver, SparseMatrix, fiat_shamir, krylov
 from certilin.challenges import _chunks
 from certilin.harness import run_protocol
 from certilin.messages import _parse_scalar
@@ -25,6 +27,28 @@ def count_forks(monkeypatch) -> list:
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     return forks
+
+
+def count_row_passes(monkeypatch) -> list:
+    """A list that gains one entry for each ``krylov._transposed_rows`` call
+    in this process from now on; a forked helper's calls land in its own
+    copy of the list."""
+    passes, rows = [], krylov._transposed_rows
+    monkeypatch.setattr(krylov, "_transposed_rows",
+                        lambda *args: passes.append(1) or rows(*args))
+    return passes
+
+
+def grind(protocol, a, prover, tries):
+    """(tries, transcript, outcome) of the first Fiat-Shamir session with
+    ``prover(0)``, ``prover(1)``, ... that the verifier accepts, or None
+    after ``tries`` rejected ones: a cheating prover that retries offline
+    until the hash gives it a lucky challenge."""
+    for i in range(tries):
+        transcript, outcome = fiat_shamir(protocol, a, prover(i))
+        if isinstance(outcome, Accept):
+            return i + 1, transcript, outcome
+    return None
 
 
 def seeded_session(protocol, a, seed, prover=None, u=None, v=None):

@@ -23,7 +23,8 @@ from certilin.harness import gen_sparse
 from certilin.polynomial import _HGCD_MIN, _pack
 
 from conftest import PRIME_BIG
-from helpers import count_forks, dense_solve, identity_matrix, vector_minpoly
+from helpers import (count_forks, count_row_passes, dense_solve, identity_matrix,
+                     vector_minpoly)
 
 
 def P(field, *coeffs):
@@ -576,6 +577,7 @@ def test_split_matches_the_serial_pass(monkeypatch, n, p):
     # operators the protocols build and one whose apply is unreduced, with
     # e_1, dense and zero projections, at the lengths a generator pair and
     # the harness ask for, and at 3n, where this process runs past A^n v.
+    # Every split pass takes the helper's rows: none is made here.
     f = PrimeField(p)
     rng = Random(n + p)
     a = gen_sparse(f, n, 4 / n, rng)
@@ -584,7 +586,7 @@ def test_split_matches_the_serial_pass(monkeypatch, n, p):
     ops = (a, ProductOp(a, gamma), ProductOp(diag, a),
            ShiftOp(rng.randrange(p), ProductOp(a, gamma)), OffsetOp(a, -p))
     us = ([1] + [0] * (n - 1), [unreduced(rng, p) for _ in range(n)], [0] * n)
-    forks = count_forks(monkeypatch)
+    forks, passes = count_forks(monkeypatch), count_row_passes(monkeypatch)
     runs = 0
     for op in ops:
         for u in us:
@@ -593,9 +595,10 @@ def test_split_matches_the_serial_pass(monkeypatch, n, p):
                 monkeypatch.setattr(krylov, "_SPLIT_MIN", n + 1)
                 serial, serial_meter, serial_giants = _sequence(op, u, v, length)
                 monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
+                passes.clear()
                 split, split_meter, split_giants = _sequence(op, u, v, length)
                 runs += 1
-                assert len(forks) == runs
+                assert len(forks) == runs and not passes
                 assert split == serial and split_meter == serial_meter
                 assert split_giants == serial_giants
                 assert split_meter.matvec == length - 1
@@ -605,13 +608,13 @@ def test_split_matches_the_serial_pass(monkeypatch, n, p):
 @needs_fork
 def test_a_short_split_matches_the_serial_pass(monkeypatch):
     # Up to n + s terms the helper's last rows are its first s, so it sends
-    # one block; from n + s + 1 on it sends two.
+    # one block; from n + s + 1 on it sends two, and no row is made here.
     f = PrimeField(2**62 - 57)
     p, n = f.p, _HGCD_MIN
     s, rng = isqrt(n), Random(6)
     a = gen_sparse(f, n, 4 / n, rng)
     gamma = GammaMatrix(f, n, rng.randrange(p), rng.randrange(p))
-    forks = count_forks(monkeypatch)
+    forks, passes = count_forks(monkeypatch), count_row_passes(monkeypatch)
     for op, u in ((a, [unreduced(rng, p) for _ in range(n)]),
                   (ProductOp(a, gamma), [1] + [0] * (n - 1))):
         v = [unreduced(rng, p) for _ in range(n)]
@@ -619,7 +622,9 @@ def test_a_short_split_matches_the_serial_pass(monkeypatch):
             monkeypatch.setattr(krylov, "_SPLIT_MIN", n + 1)
             serial = _sequence(op, u, v, length)
             monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
+            passes.clear()
             assert _sequence(op, u, v, length) == serial
+            assert not passes
     assert len(forks) == 8
     assert_no_child_left()
 
@@ -628,7 +633,8 @@ def test_a_short_split_matches_the_serial_pass(monkeypatch):
 def test_a_warm_helper_compiles_nothing(monkeypatch):
     # Once A is compiled, the helper inherits a compiled A^T.  At this n its
     # n - 1 transposed products would otherwise compile a copy of their
-    # own, and a compile outside this process raises here.
+    # own, and a compile outside this process raises there: the helper then
+    # sends nothing, and the rows would be made here.
     f = PrimeField(2**62 - 57)
     p, n = f.p, _HGCD_MIN + 8
     rng = Random(n)
@@ -644,6 +650,7 @@ def test_a_warm_helper_compiles_nothing(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(blackbox, "_compile", in_this_process)
+    passes = count_row_passes(monkeypatch)
     gamma = GammaMatrix(f, n, rng.randrange(p), rng.randrange(p))
     for op, u in ((a, [unreduced(rng, p) for _ in range(n)]),
                   (ProductOp(a, gamma), [1] + [0] * (n - 1))):
@@ -651,7 +658,9 @@ def test_a_warm_helper_compiles_nothing(monkeypatch):
         monkeypatch.setattr(krylov, "_SPLIT_MIN", n + 1)
         serial = _sequence(op, u, v, 2 * n)
         monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
+        passes.clear()
         assert _sequence(op, u, v, 2 * n) == serial
+        assert not passes
     assert_no_child_left()
 
 
@@ -680,8 +689,9 @@ class UnpicklableTranspose(OffsetOp):
 @needs_fork
 def test_no_helper_outlives_a_pass(monkeypatch):
     # The helper is reaped after a pass that succeeds and after one whose
-    # helper fails; its exception reaches the caller with type and message,
-    # or as RuntimeError naming it when its class cannot be sent.
+    # helper fails.  A failed helper sends nothing; this process then makes
+    # the rows, and the operator's error reaches the caller as it is, even
+    # when its class could not be found again by name.
     f = PrimeField(101)
     n = _HGCD_MIN
     monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
@@ -700,7 +710,7 @@ def test_no_helper_outlives_a_pass(monkeypatch):
         assert_no_child_left()
     with pytest.raises(UsageError, match=f"^no transpose for n = {n}$"):
         wiedemann_sequence(FailingTranspose(a, 0), v, v, 2 * n)
-    with pytest.raises(RuntimeError, match="^LocalError: lost class$"):
+    with pytest.raises(LocalError, match="^lost class$"):
         wiedemann_sequence(UnpicklableTranspose(a, 0), v, v, 2 * n)
     assert_no_child_left()
     assert len(forks) == 5
@@ -807,12 +817,48 @@ def test_a_failed_fork_makes_the_rows_here(monkeypatch):
 
 
 @needs_fork
+@pytest.mark.parametrize("loss", ["killed", "truncated"])
+def test_a_lost_helper_leaves_the_rows_here(monkeypatch, loss):
+    # A helper killed before it writes (SIGKILL, the OOM killer) or one
+    # whose reply ends short costs the pass its helper, not its result:
+    # this process makes the helper's rows in one pass after its chain, and
+    # sequence, giant steps and meter are the serial pass's.
+    f = PrimeField(2**62 - 57)
+    p, n = f.p, _HGCD_MIN
+    rng = Random(7)
+    a = gen_sparse(f, n, 4 / n, rng)
+    gamma = GammaMatrix(f, n, rng.randrange(p), rng.randrange(p))
+    pid, rows = os.getpid(), krylov._transposed_rows
+
+    def lost(*args):
+        if os.getpid() == pid:
+            return rows(*args)
+        if loss == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return rows(*args)[:-1]
+
+    monkeypatch.setattr(krylov, "_transposed_rows", lost)
+    forks, passes = count_forks(monkeypatch), count_row_passes(monkeypatch)
+    for op, u in ((a, [unreduced(rng, p) for _ in range(n)]),
+                  (ProductOp(a, gamma), [1] + [0] * (n - 1))):
+        v = [unreduced(rng, p) for _ in range(n)]
+        monkeypatch.setattr(krylov, "_SPLIT_MIN", n + 1)
+        serial = _sequence(op, u, v, 2 * n)
+        monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
+        forks.clear()
+        passes.clear()
+        assert _sequence(op, u, v, 2 * n) == serial
+        assert len(forks) == len(passes) == 1
+        assert_no_child_left()
+
+
+@needs_fork
 def test_a_reply_outlives_a_reaping_sigchld_handler(monkeypatch):
     # A SIGCHLD handler that reaps every child takes the helper before this
     # process waits for it, which then fails with ECHILD.  The helper's
-    # complete reply is kept: the pass gives the serial pass's result.  An
-    # error in this process's own chain after that reaping is raised as it
-    # is, not as a failure to kill the helper.
+    # complete reply is kept: the pass gives the serial pass's result and
+    # makes no row here.  An error in this process's own chain after that
+    # reaping is raised as it is, not as a failure to kill the helper.
     f = PrimeField(101)
     n = _HGCD_MIN
     reaped = []
@@ -839,6 +885,7 @@ def test_a_reply_outlives_a_reaping_sigchld_handler(monkeypatch):
     monkeypatch.setattr(krylov, "_SPLIT_MIN", n + 1)
     serial = _sequence(OffsetOp(a, 0), v, v, 2 * n)
     monkeypatch.setattr(krylov, "_SPLIT_MIN", n)
+    passes = count_row_passes(monkeypatch)
     old = signal.signal(signal.SIGCHLD, reap)
     try:
         assert _sequence(AfterTheReaper(a, 0), v, v, 2 * n) == serial
@@ -849,4 +896,5 @@ def test_a_reply_outlives_a_reaping_sigchld_handler(monkeypatch):
         assert len(reaped) == 1
     finally:
         signal.signal(signal.SIGCHLD, old)
+    assert not passes
     assert_no_child_left()

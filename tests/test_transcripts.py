@@ -25,7 +25,7 @@ from certilin.protocol import PROTOCOL_IDS
 from certilin.provers import SingularDenialProver, WrongGeneratorProver
 
 from helpers import (RehashingFiatShamir, ScriptedChallenges, count_forks,
-                     identity_matrix, reference_parse_vec,
+                     grind, identity_matrix, reference_parse_vec,
                      reference_vec_bytes)
 
 
@@ -277,6 +277,21 @@ def test_fs_singular_witness_roundtrip(fbig):
     a = gen_singular(fbig, 6, Random(9))
     transcript, outcome = fs_session(a)
     assert isinstance(outcome, Accept)
+    replayed, _ = verify_noninteractive(parse_transcript(transcript.render()), a)
+    assert replayed == outcome
+
+
+def test_a_grinder_forges_a_det_gamma_transcript_at_a_small_p():
+    # Fiat-Shamir lets a cheating prover retry offline until the hash gives
+    # it a lucky challenge.  At p = 10007 and n = 10 the merged-point
+    # bound (5n - 3)/p is about 1 in 213, and a prover that commits a wrong
+    # generator gets a wrong determinant accepted at its 1217th try; the
+    # replay of the rendered transcript accepts it too.
+    f = PrimeField(10007)
+    a = gen_nonsingular(f, 10, Random(10), 0.5)
+    tries, transcript, outcome = grind(
+        "det-gamma", a, lambda i: WrongGeneratorProver(f, Random(i)), 2000)
+    assert tries == 1217 and outcome == Accept(5848) and oracle_det(a) == 7730
     replayed, _ = verify_noninteractive(parse_transcript(transcript.render()), a)
     assert replayed == outcome
 
