@@ -136,6 +136,7 @@ def cmd_verify(args) -> int:
     rep.emit("verifier_field_ops", vm.field_ops)
     rep.emit("verifier_matvec", vm.matvec)
     budget = budget_report(transcript, a)
+    rep.emit("soundness_bits", f"{budget.soundness_bits:.2f}")
     if budget.ops_bound is not None:
         rep.emit("ops_budget", budget.ops_bound)
         rep.emit("ops_within_budget", budget.ops_ok)
@@ -184,6 +185,7 @@ def cmd_bench(args) -> int:
             ("elements_sent", row.sent),
             ("sent_budget", row.sent_bound if row.sent_bound is not None else "-"),
             ("random_elements", row.random_draws + row.prover_draws),
+            ("soundness_bits", f"{row.soundness_bits:.2f}"),
             ("ok", row.ok),
         ])
     return 0 if ok else 1

@@ -164,10 +164,6 @@ class TrialReport:
     label: str = ""
 
     @property
-    def accept_rate(self) -> float:
-        return self.accepted / self.trials
-
-    @property
     def rejection_rate(self) -> float:
         return self.rejected / self.trials
 
@@ -200,18 +196,6 @@ def run_attack(protocol: str, strategy: str, trials: int, n: int, p: int,
                          label=label,
                          allowance=three_sigma(bound, trials) if bound else 0.0)
     return _play_trials(report, cls, a, setup, seed)
-
-
-# -- completeness -----------------------------------------------------------------
-
-
-def run_completeness(protocol: str, trials: int, n: int, p: int, seed: int,
-                     matrix: SparseMatrix | None = None) -> TrialReport:
-    field = PrimeField(p)
-    setup = subseed(seed, "setup")
-    a = matrix if matrix is not None else _trial_matrix(field, n, setup)
-    return _play_trials(TrialReport(protocol, "honest", n, p, trials),
-                        HonestProver, a, setup, seed)
 
 
 # -- budget bench ------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Dense ground-truth oracles for the provers, the harness and the selftest.
 
-Everything here is exact O(n^3)-ish elimination over Z_p, capped at
-dimension ORACLE_CAP.  The characteristic polynomial is det(x*I - A) at n+1
-points, interpolated; the same eliminations give the leading (n-1)-block's
-determinants, so the charpoly of that block comes with it through the same
-Lagrange basis.  One dependency search gives the rest: a kernel vector is
-the first linear dependency among the columns, and the minimal polynomial
-is the lcm of the unit vectors' Krylov annihilators (Wiedemann 1986), each
-found by multiplying with the materialized rows.  These routes are
-deliberately independent of the Berlekamp-Massey / black-box machinery
-they are used to check.
+Everything here is exact O(n^3) elimination over Z_p, capped at dimension
+ORACLE_CAP.  The characteristic polynomial is det(x*I - H) at n+1 points,
+interpolated, for H an upper Hessenberg form of A whose leading
+(n-1)-block is similar to A's (Cohen 1993, ch. 2), so each elimination
+costs O(n^2); the same eliminations give that block's determinants, so its
+charpoly comes with A's through the same Lagrange basis.  One dependency
+search gives the rest: a kernel vector is the first linear dependency among
+the columns, and the minimal polynomial is the lcm of Krylov annihilators
+(Wiedemann 1986), the all-ones vector's first, each found by multiplying
+with the materialized rows.  These routes are deliberately independent of
+the Berlekamp-Massey / black-box machinery they are used to check.
 
 Results are cached on :class:`SparseMatrix` instances (immutable after
 construction, so this is safe).
@@ -166,19 +167,52 @@ def oracle_det(a) -> int:
     return _cached(a, "det", lambda: dense_det(materialize(a), a.field)[0])
 
 
+def _hessenberg(rows: list, p: int) -> list:
+    """An upper Hessenberg matrix similar to M through diag(Q, 1), so with
+    the charpolys of M and of M's leading (n-1)-block.
+
+    Row i, from the last up, is cleared left of its subdiagonal by Gaussian
+    similarity steps on coordinates 0..n-2 only: a pivot swap, then
+    C_j -= f*C_k with R_k += f*R_j for k = i-1 and each column j < k.  An
+    upper triangular M takes no step.
+    """
+    n = len(rows)
+    m = [row[:] for row in rows]
+    for i in range(n - 1, 1, -1):
+        k, mi = i - 1, m[i]
+        piv = next((j for j in range(k, -1, -1) if mi[j]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            m[piv], m[k] = m[k], m[piv]
+            for row in m:
+                row[piv], row[k] = row[k], row[piv]
+        inv = pow(mi[k], -1, p)
+        fs = [mi[j] * inv % p for j in range(k)]
+        for row in m:
+            c = row[k]
+            if c:
+                row[:k] = [(a - f * c) % p for a, f in zip(row, fs)]
+        m[k] = [(a + sum(map(mul, fs, col))) % p
+                for a, col in zip(m[k], zip(*m[:k]))]
+    return m
+
+
 def dense_charpoly(rows: list, field: PrimeField) -> tuple:
     """(det(x*I - M), det(x*I - M')) for M' the leading (n-1)-block of M.
 
-    The leading block of x*I - M is x*I - M', so one dense_det at each of
-    the n+1 points 0..n samples both; the two value lists are interpolated
-    through one shared Lagrange basis.  Each interpolant must be monic of
-    its degree (n and n-1), or IntegrityError is raised.
+    Both are read off M's Hessenberg form H, whose leading block is similar
+    to M'.  The leading block of x*I - H is x*I - H', so one dense_det at
+    each of the n+1 points 0..n samples both, in O(n^2) since x*I - H is
+    upper Hessenberg; the two value lists are interpolated through one
+    shared Lagrange basis.  Each interpolant must be monic of its degree
+    (n and n-1), or IntegrityError is raised.
     """
     n = len(rows)
     p = field.p
     if p <= n:
         raise UsageError("charpoly oracle needs p > n for distinct sample points")
-    neg = [[(-v) % p for v in row] for row in rows]
+    neg = [[(-v) % p for v in row] for row in _hessenberg(rows, p)]
     xs, full, lead = list(range(n + 1)), [], []
     for x in xs:
         shifted = [row[:] for row in neg]
@@ -217,11 +251,13 @@ def _krylov_minpoly(rows: list, field: PrimeField, v: list) -> Poly:
 
 
 def oracle_minpoly(a) -> Poly:
-    """The lcm of the Krylov annihilators of the unit vectors."""
+    """The lcm of the Krylov annihilators of the all-ones vector and then
+    of the unit vectors, stopped at degree n: one search when the all-ones
+    vector is cyclic, as it is for most nonderogatory matrices."""
     def compute():
         rows = materialize(a)
         n = a.n
-        f = Poly.one(a.field)
+        f = _krylov_minpoly(rows, a.field, [1] * n)
         for j in range(n):
             if f.degree >= n:
                 break

@@ -447,6 +447,8 @@ class ProtocolSpec:
     point that runs it live; ``options`` are the fixed keyword arguments of
     both.
     Budgets take (mu, n, log_term) and n; None means no bound is enforced.
+    ``error`` is the analytic per-session error term, the chance d/p that a
+    cheating prover survives one challenge, as a function of (n, p).
     ``generator_unsent`` leaves the committed generator out of the
     communication count, since it is the protocol's output.  ``result``
     names what an Accept certifies: "generator", "minpoly", "charpoly" or
@@ -457,7 +459,7 @@ class ProtocolSpec:
     flow: Callable
     certify: str
     field_bound: Callable
-    rejection: Callable
+    error: Callable
     rejection_label: str
     result: str
     options: tuple = ()
@@ -471,10 +473,23 @@ class ProtocolSpec:
         """Whether the caller supplies the projections u and v."""
         return self.certify == "certify_generator"
 
+    def rejection(self, n, p):
+        """The analytic bound on a cheating prover's rejection rate."""
+        return 1 - self.error(n, p)
+
+    def soundness_bits(self, n, p):
+        """-log2 of the error term: the bits a session gives against a
+        prover that retries offline, 0 when the field is too small for any.
+
+        Taken from the error term itself: 1 - rejection keeps only a few of
+        its bits at a 62-bit p (50.0 for 50.04 at n = 800).
+        """
+        return max(0.0, -math.log2(self.error(n, p)))
+
 
 def _merged_point(n, p):
     """Merged-point protocols share one evaluation point."""
-    return 1 - (5 * n - 3) / p
+    return (5 * n - 3) / p
 
 
 def _generator_bound(n):
@@ -489,47 +504,48 @@ _PROTOCOLS = {
     "fauv": ProtocolSpec(
         flow=_flow_fauv, certify="certify_generator",
         options=(("merged", False),), field_bound=lambda n: 3 * n,
-        rejection=lambda n, p: (1 - (2 * n - 2) / p) * (1 - (3 * n - 1) / p),
+        # 1 - (1 - (2n - 2)/p) * (1 - (3n - 1)/p): one check at each point.
+        error=lambda n, p: (5 * n - 3 - (2 * n - 2) * (3 * n - 1) / p) / p,
         rejection_label="two-point", result="generator",
         ops_budget=lambda mu, n, log: mu + 17 * n, sent_budget=lambda n: 4 * n,
         generator_unsent=True),
     "fauv-merged": ProtocolSpec(
         flow=_flow_fauv, certify="certify_generator",
         options=(("merged", True),), field_bound=_generator_bound,
-        rejection=_merged_point, rejection_label="merged-point",
+        error=_merged_point, rejection_label="merged-point",
         result="generator", ops_budget=lambda mu, n, log: mu + 13 * n,
         sent_budget=lambda n: 4 * n, generator_unsent=True, cli=False),
     "minpoly": ProtocolSpec(
         flow=_flow_minpoly, certify="certify_minpoly",
         options=(("perfectly_complete", False),), field_bound=_generator_bound,
-        rejection=_merged_point, rejection_label="merged-point",
+        error=_merged_point, rejection_label="merged-point",
         result="minpoly", ops_budget=lambda mu, n, log: mu + 13 * n),
     # Runs up to two generator certificates, so it has no linear budget.
     "minpoly-pc": ProtocolSpec(
         flow=_flow_minpoly, certify="certify_minpoly",
         options=(("perfectly_complete", True),),
-        field_bound=_generator_bound, rejection=_merged_point,
+        field_bound=_generator_bound, error=_merged_point,
         rejection_label="merged-point", result="minpoly", cli=False),
     "det-diag": ProtocolSpec(
         flow=_flow_det_diag, certify="certify_det_diag",
         field_bound=lambda n: max(n * (n - 1) // 2, 5 * n - 2),
-        rejection=_merged_point, rejection_label="merged-point", result="det",
+        error=_merged_point, rejection_label="merged-point", result="det",
         ops_budget=lambda mu, n, log: mu + 15 * n + log,
         sent_budget=lambda n: 8 * n),
     "det-gamma": ProtocolSpec(
         flow=_flow_det_gamma, certify="certify_det_gamma",
-        field_bound=_gamma_bound, rejection=_merged_point,
+        field_bound=_gamma_bound, error=_merged_point,
         rejection_label="merged-point", result="det",
         ops_budget=lambda mu, n, log: mu + 13 * n + log,
         sent_budget=lambda n: 5 * n),
     "det-simple": ProtocolSpec(
         flow=_flow_det_simple, certify="certify_det_simple",
         field_bound=_gamma_bound,
-        rejection=lambda n, p: 1 - (3 * n - 2) / (p - n),
+        error=lambda n, p: (3 * n - 2) / (p - n),
         rejection_label="quotient-of-minors", result="det"),
     "charpoly": ProtocolSpec(
         flow=_flow_charpoly, certify="certify_charpoly",
-        field_bound=_gamma_bound, rejection=lambda n, p: 1 - 2 * n / p,
+        field_bound=_gamma_bound, error=lambda n, p: 2 * n / p,
         rejection_label="claim-collision", result="charpoly"),
 }
 
@@ -675,6 +691,7 @@ class BudgetReport:
     sent_bound: int | None
     random_draws: int
     prover_draws: int | None
+    soundness_bits: float
 
     @property
     def ops_ok(self):
@@ -697,6 +714,8 @@ def budget_report(transcript: Transcript, a: SparseMatrix) -> BudgetReport:
     transcript counts what the live session charged.  A parsed transcript
     has no meters: it needs its replay's verifier meter attached, and its
     ``prover_draws`` is None, since the prover's draws never cross the wire.
+    ``soundness_bits`` is the protocol's per-challenge soundness at the
+    session's n and p.
     """
     vm, pm = transcript.verifier_meter, transcript.prover_meter
     if vm is None:
@@ -724,4 +743,5 @@ def budget_report(transcript: Transcript, a: SparseMatrix) -> BudgetReport:
         sent_bound=spec.sent_budget(n) if spec.sent_budget else None,
         random_draws=vm.random_draws,
         prover_draws=None if pm is None else pm.random_draws,
+        soundness_bits=spec.soundness_bits(n, transcript.p),
     )

@@ -1,9 +1,11 @@
 """Test-only helpers: an identity matrix, a seeded interactive session,
 counters of forks and of the Krylov rows made in this process, a
 Fiat-Shamir grinder, a scripted challenge source, a Fiat-Shamir source
-that hashes the whole material on every draw, three dense references (a
-linear solve, a single-matrix determinant and a vector's Krylov
-annihilator) and per-element references for the bulk int/bytes
+that hashes the whole material on every draw, the completeness trials of
+criterion 4, dense references (a linear solve, a single-matrix
+determinant, the charpoly pair from eliminations on the raw rows, a
+vector's Krylov annihilator and the minimal polynomial as an lcm over the
+unit vectors) and per-element references for the bulk int/bytes
 conversions (Kronecker slots, vector wire bytes and vector parsing) that
 no library path runs."""
 
@@ -11,11 +13,14 @@ import hashlib
 import os
 from random import Random
 
-from certilin import Accept, HonestProver, SparseMatrix, fiat_shamir, krylov
+from certilin import (Accept, HonestProver, Poly, PrimeField, SparseMatrix,
+                      fiat_shamir, krylov, poly_lcm)
 from certilin.challenges import _chunks
-from certilin.harness import run_protocol
+from certilin.harness import (TrialReport, _play_trials, _trial_matrix,
+                              run_protocol, subseed)
 from certilin.messages import _parse_scalar
-from certilin.oracle import _krylov_minpoly, materialize
+from certilin.oracle import (_interpolate, _krylov_minpoly, dense_det,
+                             materialize)
 
 
 def identity_matrix(field, n):
@@ -49,6 +54,21 @@ def grind(protocol, a, prover, tries):
         if isinstance(outcome, Accept):
             return i + 1, transcript, outcome
     return None
+
+
+def run_completeness(protocol, trials, n, p, seed, matrix=None):
+    """``trials`` honest interactive sessions on one matrix, tallied in a
+    TrialReport: a nonsingular ``n`` x ``n`` one drawn from ``seed`` unless
+    ``matrix`` is given."""
+    field = PrimeField(p)
+    setup = subseed(seed, "setup")
+    a = matrix if matrix is not None else _trial_matrix(field, n, setup)
+    return _play_trials(TrialReport(protocol, "honest", n, p, trials),
+                        HonestProver, a, setup, seed)
+
+
+def accept_rate(report):
+    return report.accepted / report.trials
 
 
 def seeded_session(protocol, a, seed, prover=None, u=None, v=None):
@@ -155,9 +175,30 @@ def reference_det(rows, field):
     return det % p
 
 
+def reference_charpoly(rows, field):
+    """(det(x*I - M), det(x*I - M')) for M' the leading (n-1)-block, from
+    one dense_det of x*I - M on the raw rows at each of x = 0..n: the
+    O(n^4) reference for dense_charpoly's Hessenberg form."""
+    p, n = field.p, len(rows)
+    xs = list(range(n + 1))
+    pairs = [dense_det([[((x if i == j else 0) - v) % p
+                         for j, v in enumerate(row)]
+                        for i, row in enumerate(rows)], field)
+             for x in xs]
+    return tuple(_interpolate(field, xs, *zip(*pairs)))
+
+
 def vector_minpoly(a, v):
     """Minimal annihilator of the Krylov stream v, A v, A^2 v, ..."""
     return _krylov_minpoly(materialize(a), a.field, v)
+
+
+def reference_minpoly(a):
+    """The lcm of the unit vectors' Krylov annihilators, all n of them."""
+    f = Poly.one(a.field)
+    for j in range(a.n):
+        f = poly_lcm(f, vector_minpoly(a, [int(i == j) for i in range(a.n)]))
+    return f
 
 
 def reference_pack(c, w):

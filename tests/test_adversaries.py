@@ -6,10 +6,11 @@ from certilin import (Accept, HonestProver, Poly, Reject, UsageError,
                       adversarial_prover)
 from certilin.harness import (PROTOCOL_CHOICES,
                               random_nonsingular_dense_checked, run_attack,
-                              run_completeness, run_protocol, three_sigma)
+                              run_protocol, three_sigma)
 from certilin.provers import STRATEGIES
 
 from conftest import PRIME_BIG
+from helpers import run_completeness
 
 N, P = 10, PRIME_BIG
 

@@ -91,6 +91,11 @@ def test_prove_verify_roundtrip(tmp_path, matrix_file):
                            "--matrix", str(matrix_file), "--format", "kv")
     assert code == 0
     assert kv(out)["ops_within_budget"] == "True"
+    # log2(p / (5n - 3)) at n = 10, p = 1000003, in both formats.
+    assert kv(out)["soundness_bits"] == "14.38"
+    _, text, _ = run_cli("verify", "--transcript", str(transcript),
+                         "--matrix", str(matrix_file))
+    assert "soundness_bits: 14.38\n" in text
 
 
 def test_prove_is_deterministic(tmp_path, matrix_file):
@@ -394,6 +399,7 @@ def test_bench_text_rows_match_kv_rows():
             for line in text.strip().split("\n")]
     assert rows == [kv_row(line) for line in kv_out.strip().split("\n")]
     assert [row["n"] for row in rows] == ["6", "10"]
+    assert [row["soundness_bits"] for row in rows] == ["15.18", "14.38"]
 
 
 def test_bench_empty_size_list():

@@ -9,10 +9,12 @@ from certilin import (IntegrityError, OracleCapError, Poly, PrimeField,
                       oracle_minpoly)
 from certilin import oracle
 from certilin.blackbox import matvec
-from certilin.oracle import _interpolate, dense_det, materialize
+from certilin.oracle import (_hessenberg, _interpolate, dense_charpoly,
+                             dense_det, materialize)
 from certilin.harness import gen_sparse
 
-from helpers import dense_solve, identity_matrix, reference_det, vector_minpoly
+from helpers import (dense_solve, identity_matrix, reference_charpoly,
+                     reference_det, reference_minpoly, vector_minpoly)
 
 
 def P(field, *coeffs):
@@ -181,6 +183,81 @@ def test_det_pair_forced_cases(p):
         rows[-1] = rows[0][:]
         assert dense_det(rows, field)[0] == 0
         _check_det_pair(rows, field)
+
+
+def _charpoly_corpus():
+    """(label, rows, p): dense, 10%-sparse and singular matrices, and ones
+    that take the Hessenberg reduction's no-pivot and swap branches, at
+    p = n + 1 and p = 2^62 - 57."""
+    rng = Random(29)
+    big = 2**62 - 57
+    for n, p in [(1, big), (2, 3), (2, big), (3, big), (4, 5), (6, 7),
+                 (10, 11), (12, 13), (12, big)]:
+        yield "dense", _random_rows(rng, n, p, 1.0), p
+        yield "sparse", _random_rows(rng, n, p, 0.1), p
+        yield "zero", _random_rows(rng, n, p, 0.0), p
+        rows = _random_rows(rng, n, p, 0.7)
+        rows[-1] = rows[0][:]
+        yield "repeated-row", rows, p
+        # The last row is zero left of its diagonal: no pivot.
+        rows = _random_rows(rng, n, p, 1.0)
+        rows[-1][:-1] = [0] * (n - 1)
+        yield "no-pivot", rows, p
+        for label, keep in (("upper-triangular", lambda i, j: i <= j),
+                            ("lower-triangular", lambda i, j: i >= j)):
+            rows = _random_rows(rng, n, p, 1.0)
+            yield label, [[v if keep(i, j) else 0 for j, v in enumerate(r)]
+                          for i, r in enumerate(rows)], p
+        if n >= 3:
+            # The last row's subdiagonal entry is zero and one left of it
+            # is not: a pivot swap.
+            rows = _random_rows(rng, n, p, 1.0)
+            rows[-1][-2] = 0
+            yield "swap", rows, p
+    yield "dense-64", _random_rows(rng, 64, big, 1.0), big
+    yield "sparse-64", _random_rows(rng, 64, big, 0.1), big
+
+
+@pytest.mark.parametrize("rows, p", [
+    pytest.param(rows, p, id=f"{label}-n{len(rows)}-p{p}")
+    for label, rows, p in _charpoly_corpus()])
+def test_charpoly_pair_matches_eliminations_on_the_raw_rows(rows, p):
+    # The Hessenberg form is upper Hessenberg, and the pair read off it is
+    # the pair from the eliminations of x*I - M itself.
+    field = PrimeField(p)
+    h = _hessenberg(rows, p)
+    assert all(not h[i][j] for i in range(len(h)) for j in range(i - 1))
+    assert dense_charpoly(rows, field) == reference_charpoly(rows, field)
+
+
+def _minpoly_cases(field):
+    """Matrices whose all-ones vector is not cyclic (derogatory ones and
+    constant row sums) and one nilpotent Jordan block, whose is."""
+    n = 6
+    yield "identity", identity_matrix(field, n)
+    yield "repeated-diagonal", SparseMatrix(
+        field, n, [(i, i, d) for i, d in enumerate([2, 2, 3, 5, 5, 5])])
+    # Constant row sums: the all-ones vector is an eigenvector.
+    rng = Random(30)
+    rows = _random_rows(rng, n, field.p, 0.6)
+    for r in rows:
+        r[-1] = (7 - sum(r[:-1])) % field.p
+    yield "constant-row-sums", from_rows(field, rows)
+    yield "nilpotent-jordan", SparseMatrix(
+        field, n, [(i, i + 1, 1) for i in range(n - 1)])
+    yield "nilpotent-two-blocks", SparseMatrix(
+        field, n, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)])
+
+
+def test_minpoly_matches_the_unit_vector_lcm(f101):
+    # Where the all-ones vector's annihilator falls short of degree n, the
+    # unit vectors' lcm completes it.
+    for label, a in _minpoly_cases(f101):
+        assert oracle_minpoly(a) == reference_minpoly(a), label
+    rng = Random(31)
+    for _ in range(10):
+        a = gen_sparse(f101, rng.randrange(1, 9), 0.4, rng)
+        assert oracle_minpoly(a) == reference_minpoly(a)
 
 
 def test_minpoly_annihilates(f101):

@@ -16,7 +16,7 @@ from certilin.challenges import RandomChallenges
 from certilin.harness import (gen_singular, gen_sparse,
                               random_nonsingular_dense_checked, run_protocol)
 from certilin.oracle import dense_charpoly, materialize
-from certilin.protocol import PROTOCOL_IDS
+from certilin.protocol import PROTOCOL_IDS, protocol_spec
 from certilin.provers import WrongClaimProver
 
 from helpers import (ScriptedChallenges, dense_solve, identity_matrix,
@@ -330,6 +330,23 @@ def test_verifier_budgets(fbig, n):
     rep = budget_report(t, a)
     assert rep.verifier_ops <= a.matvec_cost() + 13 * n + 4 * math.ceil(math.log2(n))
     assert rep.sent <= 5 * n and rep.ok
+
+
+def test_soundness_bits_come_from_the_error_term(fbig):
+    # det-gamma at n = 800: log2(p / (5n - 3)).  At p = 2^62 - 57,
+    # -log2(1 - rejection) would read 50.0.
+    spec = protocol_spec("det-gamma")
+    assert round(spec.soundness_bits(800, 10**9 + 7), 2) == 17.93
+    assert round(spec.soundness_bits(800, 2**62 - 57), 2) == 50.04
+    assert -math.log2(1 - spec.rejection(800, 2**62 - 57)) == 50.0
+    # A field too small to give any bits gives 0, not a negative count.
+    assert spec.soundness_bits(10, 43) == 0.0
+    # Every report carries its own protocol's figure.
+    a = random_nonsingular_dense_checked(fbig, 8, Random(32))
+    for pid in PROTOCOL_IDS:
+        t, _ = seeded_session(pid, a, 32, u=[1] * 8, v=[2] * 8)
+        bits = protocol_spec(pid).soundness_bits(8, fbig.p)
+        assert budget_report(t, a).soundness_bits == bits
 
 
 # -- characteristic polynomial -----------------------------------------------------
