@@ -60,10 +60,6 @@ class LinearOp:
         """
         raise NotImplementedError
 
-    def matvec_cost(self) -> int:
-        """Field operations charged by one application (the mu of this box)."""
-        raise NotImplementedError
-
     def _warm_transpose(self) -> None:
         """Prepare ``apply_transpose`` for a helper forked right after.
 
@@ -212,6 +208,7 @@ class SparseMatrix(LinearOp):
                 t._cache[_CODE] = _compile(t)
 
     def matvec_cost(self) -> int:
+        """Field operations charged by one application: budget_report's mu."""
         return 2 * self.nnz
 
     def to_dense(self) -> list:
@@ -247,9 +244,6 @@ class DiagonalMatrix(LinearOp):
     def apply_transpose(self, x: list) -> list:
         return self.apply(x)
 
-    def matvec_cost(self) -> int:
-        return self.n
-
 
 class GammaMatrix(LinearOp):
     """Diagonal t, superdiagonal -1, corner s at position (n, 1).
@@ -282,9 +276,6 @@ class GammaMatrix(LinearOp):
         p, t = self.field.p, self.t
         return ([(t * x[0] + self.s * x[-1]) % p]
                 + [(t * a - b) % p for a, b in zip(x[1:], x)])
-
-    def matvec_cost(self) -> int:
-        return 2 * self.n + 1
 
 
 def gamma_det(g: GammaMatrix, meter: CostMeter | None = None) -> int:
@@ -319,9 +310,6 @@ class ProductOp(LinearOp):
         self.left._warm_transpose()
         self.right._warm_transpose()
 
-    def matvec_cost(self) -> int:
-        return self.left.matvec_cost() + self.right.matvec_cost()
-
 
 class ShiftOp(LinearOp):
     """r*I - inner, applied lazily."""
@@ -349,9 +337,6 @@ class ShiftOp(LinearOp):
 
     def _warm_transpose(self) -> None:
         self.inner._warm_transpose()
-
-    def matvec_cost(self) -> int:
-        return self.inner.matvec_cost() + 2 * self.n
 
 
 # -- SMS-style file format ---------------------------------------------------

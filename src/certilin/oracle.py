@@ -1,16 +1,15 @@
 """Dense ground-truth oracles for the provers, the harness and the selftest.
 
 Everything here is exact O(n^3) elimination over Z_p, capped at dimension
-ORACLE_CAP.  The characteristic polynomial is det(x*I - H) at n+1 points,
-interpolated, for H an upper Hessenberg form of A whose leading
-(n-1)-block is similar to A's (Cohen 1993, ch. 2), so each elimination
-costs O(n^2); the same eliminations give that block's determinants, so its
-charpoly comes with A's through the same Lagrange basis.  One dependency
-search gives the rest: a kernel vector is the first linear dependency among
-the columns, and the minimal polynomial is the lcm of Krylov annihilators
-(Wiedemann 1986), the all-ones vector's first, each found by multiplying
-with the materialized rows.  These routes are deliberately independent of
-the Berlekamp-Massey / black-box machinery they are used to check.
+ORACLE_CAP.  The characteristic polynomial comes from the classical
+recurrence on H, an upper Hessenberg form of A whose leading (n-1)-block is
+similar to A's (Cohen 1993, ch. 2), so that block's charpoly comes with A's;
+one elimination of I - A checks the pair at 1.  One dependency search gives
+the rest: a kernel vector is the first linear dependency among the columns,
+and the minimal polynomial is the lcm of Krylov annihilators (Wiedemann
+1986), the all-ones vector's first, each found by multiplying with the
+materialized rows.  These routes are deliberately independent of the
+Berlekamp-Massey / black-box machinery they are used to check.
 
 Results are cached on :class:`SparseMatrix` instances (immutable after
 construction, so this is safe).
@@ -21,7 +20,7 @@ from __future__ import annotations
 from operator import mul
 
 from .blackbox import LinearOp, SparseMatrix
-from .errors import IntegrityError, OracleCapError, UsageError
+from .errors import IntegrityError, OracleCapError
 from .field import PrimeField
 from .polynomial import Poly, poly_lcm
 
@@ -133,36 +132,6 @@ def dense_kernel(rows: list, field: PrimeField):
 # -- spectral oracles --------------------------------------------------------
 
 
-def _interpolate(field: PrimeField, xs: list, *value_lists) -> list:
-    """Lagrange interpolation through distinct points, one Poly per value list.
-
-    The basis polynomials prod_{j != i} (X - x_j) and their inverse values
-    at x_i are built once and shared by every value list.
-    """
-    p = field.p
-    full = [1]   # prod (X - x_i), low to high
-    for x in xs:
-        full = [(b - x * a) % p for a, b in zip(full + [0], [0] + full)]
-    basis, invs = [], []
-    for xi in xs:
-        # full / (X - xi) by synthetic division, high to low.
-        row, carry = [], 0
-        for c in reversed(full[1:]):
-            carry = (c + xi * carry) % p
-            row.append(carry)
-        denom = 0
-        for c in row:
-            denom = (denom * xi + c) % p
-        basis.append(row)
-        invs.append(pow(denom, -1, p))
-    cols = list(zip(*basis))[::-1]   # coefficient k's column, low to high
-    polys = []
-    for ys in value_lists:
-        ks = [y * inv % p for y, inv in zip(ys, invs)]
-        polys.append(Poly(field, [sum(map(mul, col, ks)) % p for col in cols]))
-    return polys
-
-
 def oracle_det(a) -> int:
     return _cached(a, "det", lambda: dense_det(materialize(a), a.field)[0])
 
@@ -202,33 +171,33 @@ def dense_charpoly(rows: list, field: PrimeField) -> tuple:
     """(det(x*I - M), det(x*I - M')) for M' the leading (n-1)-block of M.
 
     Both are read off M's Hessenberg form H, whose leading block is similar
-    to M'.  The leading block of x*I - H is x*I - H', so one dense_det at
-    each of the n+1 points 0..n samples both, in O(n^2) since x*I - H is
-    upper Hessenberg; the two value lists are interpolated through one
-    shared Lagrange basis.  Each interpolant must be monic of its degree
-    (n and n-1), or IntegrityError is raised.
+    to M', by the recurrence for the charpolys f_k of H's leading k-blocks
+    (Cohen 1993, alg. 2.2.9): f_0 = 1 and f_(k+1) = (x - h_kk) f_k -
+    sum_(i<k) h_ik (h_(i+1,i) ... h_(k,k-1)) f_i, in O(n^3).  One dense_det
+    of I - M on the raw rows, a route independent of H, must give the
+    pair's values at 1, or IntegrityError is raised.
     """
-    n = len(rows)
-    p = field.p
-    if p <= n:
-        raise UsageError("charpoly oracle needs p > n for distinct sample points")
-    neg = [[(-v) % p for v in row] for row in _hessenberg(rows, p)]
-    xs, full, lead = list(range(n + 1)), [], []
-    for x in xs:
-        shifted = [row[:] for row in neg]
-        for i in range(n):
-            shifted[i][i] = (x + neg[i][i]) % p
-        d, d_lead = dense_det(shifted, field)
-        full.append(d)
-        lead.append(d_lead)
-    chi, chi_minor = _interpolate(field, xs, full, lead)
-    if not (chi.is_monic() and chi.degree == n):
-        raise IntegrityError(f"interpolated charpoly is not monic of degree {n}")
+    p, n = field.p, len(rows)
+    h = _hessenberg(rows, p)
+    fs = [[1]]   # f_0, f_1, ..., low to high
+    for k in range(n):
+        f, t = [0] + fs[k], 1
+        for i in range(k, -1, -1):   # t = h_(i+1,i) ... h_(k,k-1)
+            g = h[i][k] * t % p
+            for d, c in enumerate(fs[i]):
+                f[d] -= g * c
+            t = t * h[i][i - 1] % p if i else 0
+            if not t:
+                break
+        fs.append([c % p for c in f])
     # An empty matrix has no leading block; its pair is (1, 1).
-    if not (chi_minor.is_monic() and chi_minor.degree == max(n - 1, 0)):
-        raise IntegrityError(
-            f"interpolated minor charpoly is not monic of degree {n - 1}")
-    return chi, chi_minor
+    chi, chi_minor = fs[n], fs[max(n - 1, 0)]
+    shifted = [[(int(i == j) - v) % p for j, v in enumerate(row)]
+               for i, row in enumerate(rows)]
+    if dense_det(shifted, field) != (sum(chi) % p, sum(chi_minor) % p):
+        raise IntegrityError("charpoly pair disagrees with det(I - M)")
+    return (Poly(field, tuple(chi), _canonical=True),
+            Poly(field, tuple(chi_minor), _canonical=True))
 
 
 def oracle_charpoly(a) -> Poly:

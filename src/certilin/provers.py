@@ -176,7 +176,7 @@ class HonestProver:
         """Gamma's (s, t); opens the session on B = A*Gamma, e_n, (chi_B, chi_minor).
 
         chi_minor is the charpoly of B's leading (n-1)-block; one
-        dense_charpoly call gives both, one elimination per sample point.
+        dense_charpoly call reads both off a Hessenberg form of B.
         """
         field, n = self.field, box.n
         dense = materialize(box)

@@ -3,11 +3,10 @@ counters of forks and of the Krylov rows made in this process, a
 Fiat-Shamir grinder, a scripted challenge source, a Fiat-Shamir source
 that hashes the whole material on every draw, the completeness trials of
 criterion 4, dense references (a linear solve, a single-matrix
-determinant, the charpoly pair from eliminations on the raw rows, a
-vector's Krylov annihilator and the minimal polynomial as an lcm over the
-unit vectors) and per-element references for the bulk int/bytes
-conversions (Kronecker slots, vector wire bytes and vector parsing) that
-no library path runs."""
+determinant, a vector's Krylov annihilator and the minimal polynomial as
+an lcm over the unit vectors) and per-element references for the bulk
+int/bytes conversions (Kronecker slots, vector wire bytes and vector
+parsing) that no library path runs."""
 
 import hashlib
 import os
@@ -19,8 +18,7 @@ from certilin.challenges import _chunks
 from certilin.harness import (TrialReport, _play_trials, _trial_matrix,
                               run_protocol, subseed)
 from certilin.messages import _parse_scalar
-from certilin.oracle import (_interpolate, _krylov_minpoly, dense_det,
-                             materialize)
+from certilin.oracle import _krylov_minpoly, materialize
 
 
 def identity_matrix(field, n):
@@ -150,7 +148,7 @@ def dense_solve(rows, b, field):
 
 def reference_det(rows, field):
     """Determinant of one matrix by Gaussian elimination, the whole matrix
-    only: the reference for dense_det's pair."""
+    only: the reference for dense_det's pair and dense_charpoly's values."""
     p = field.p
     n = len(rows)
     m = [row[:] for row in rows]
@@ -173,19 +171,6 @@ def reference_det(rows, field):
                 for c in range(col, n):
                     mr[c] = (mr[c] - f * mc[c]) % p
     return det % p
-
-
-def reference_charpoly(rows, field):
-    """(det(x*I - M), det(x*I - M')) for M' the leading (n-1)-block, from
-    one dense_det of x*I - M on the raw rows at each of x = 0..n: the
-    O(n^4) reference for dense_charpoly's Hessenberg form."""
-    p, n = field.p, len(rows)
-    xs = list(range(n + 1))
-    pairs = [dense_det([[((x if i == j else 0) - v) % p
-                         for j, v in enumerate(row)]
-                        for i, row in enumerate(rows)], field)
-             for x in xs]
-    return tuple(_interpolate(field, xs, *zip(*pairs)))
 
 
 def vector_minpoly(a, v):

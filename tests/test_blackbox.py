@@ -125,10 +125,6 @@ def test_matvec_counter_outermost_only(f101):
 def test_matvec_cost_model(f101):
     a = gen_sparse(f101, 8, 0.4, Random(1))
     assert a.matvec_cost() == 2 * a.nnz
-    g = GammaMatrix(f101, 8, t=1, s=1)
-    assert g.matvec_cost() == 17
-    assert ShiftOp(3, a).matvec_cost() == a.matvec_cost() + 16
-    assert ProductOp(a, g).matvec_cost() == a.matvec_cost() + 17
 
 
 def test_duplicate_entries_sum(f7):

@@ -2,19 +2,18 @@ from itertools import permutations
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from certilin import (IntegrityError, OracleCapError, Poly, PrimeField,
                       SparseMatrix, oracle_charpoly, oracle_det, oracle_kernel,
                       oracle_minpoly)
 from certilin import oracle
 from certilin.blackbox import matvec
-from certilin.oracle import (_hessenberg, _interpolate, dense_charpoly,
-                             dense_det, materialize)
+from certilin.oracle import (_hessenberg, dense_charpoly, dense_det,
+                             materialize)
 from certilin.harness import gen_sparse
 
-from helpers import (dense_solve, identity_matrix, reference_charpoly,
-                     reference_det, reference_minpoly, vector_minpoly)
+from helpers import (dense_solve, identity_matrix, reference_det,
+                     reference_minpoly, vector_minpoly)
 
 
 def P(field, *coeffs):
@@ -95,40 +94,19 @@ def test_charpoly_structure(f101):
         assert c % oracle_minpoly(a) == Poly.zero(f101)
 
 
-@st.composite
-def interpolation_cases(draw):
-    p = draw(st.sampled_from([7, 101]))
-    n = draw(st.integers(0, min(p - 1, 12)))
-    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=n + 1, max_size=n + 1))
-    if draw(st.booleans()):
-        coeffs = [0] * (n + 1)
-    xs = draw(st.permutations(range(p)))[:n + 1]
-    return Poly(PrimeField(p), coeffs), xs
-
-
-@given(interpolation_cases())
-@settings(max_examples=300, deadline=None)
-def test_interpolate_recovers_polynomials(case):
-    # A polynomial of degree <= n (the zero polynomial included) comes back
-    # from its values at n+1 distinct points, also as the second of two
-    # value lists sharing one basis.
-    poly, xs = case
-    plus_one = poly + Poly.one(poly.field)
-    assert _interpolate(poly.field, xs, [poly.eval(x) for x in xs],
-                        [plus_one.eval(x) for x in xs]) == [poly, plus_one]
-
-
-def test_charpoly_checks_its_interpolant(f101, monkeypatch):
-    # A charpoly that is not monic of degree n raises, also under python -O,
-    # and so does a minor charpoly that is not monic of degree n - 1.
-    real_det = oracle.dense_det
-    monkeypatch.setattr(oracle, "dense_det", lambda rows, field: (0, 0))
-    with pytest.raises(IntegrityError, match="^interpolated charpoly"):
-        oracle.dense_charpoly([[1, 2], [3, 4]], f101)
-    monkeypatch.setattr(oracle, "dense_det",
-                        lambda rows, field: (real_det(rows, field)[0], 0))
-    with pytest.raises(IntegrityError, match="minor"):
-        oracle.dense_charpoly([[1, 2], [3, 4]], f101)
+def test_charpoly_checks_its_pair_against_one_elimination(f101, monkeypatch):
+    # dense_det of I - M must give (chi(1), chi_minor(1)), also under
+    # python -O.  Neither polynomial has a root at 1 here, so a stub that
+    # answers 0 for one of them disagrees on that one only.
+    rows = [[2, 3], [5, 7]]
+    real = dense_det([[100, 98], [96, 95]], f101)   # I - M
+    assert all(real)
+    chi, chi_minor = dense_charpoly(rows, f101)
+    assert (chi.eval(1), chi_minor.eval(1)) == real
+    for stub in ((0, real[1]), (real[0], 0)):
+        monkeypatch.setattr(oracle, "dense_det", lambda rows, field: stub)
+        with pytest.raises(IntegrityError, match="disagrees"):
+            dense_charpoly(rows, f101)
 
 
 def _random_rows(rng, n, p, density):
@@ -222,12 +200,69 @@ def _charpoly_corpus():
     pytest.param(rows, p, id=f"{label}-n{len(rows)}-p{p}")
     for label, rows, p in _charpoly_corpus()])
 def test_charpoly_pair_matches_eliminations_on_the_raw_rows(rows, p):
-    # The Hessenberg form is upper Hessenberg, and the pair read off it is
-    # the pair from the eliminations of x*I - M itself.
+    # The Hessenberg form is upper Hessenberg, and at each of x = 0..n the
+    # pair read off it takes the values of det(x*I - M) and of its leading
+    # block, both monic of degree n and n - 1: n + 1 values fix each one.
     field = PrimeField(p)
+    n = len(rows)
     h = _hessenberg(rows, p)
-    assert all(not h[i][j] for i in range(len(h)) for j in range(i - 1))
-    assert dense_charpoly(rows, field) == reference_charpoly(rows, field)
+    assert all(not h[i][j] for i in range(n) for j in range(i - 1))
+    chi, chi_minor = dense_charpoly(rows, field)
+    assert chi.is_monic() and chi.degree == n
+    assert chi_minor.is_monic() and chi_minor.degree == max(n - 1, 0)
+    for x in range(n + 1):
+        shifted = [[((x if i == j else 0) - v) % p for j, v in enumerate(r)]
+                   for i, r in enumerate(rows)]
+        assert chi.eval(x) == reference_det(shifted, field)
+        assert chi_minor.eval(x) == reference_det(
+            [r[:-1] for r in shifted[:-1]], field)
+
+
+def _mix_leading_block(rows, p, rng):
+    """A similarity by diag(Q, 1): random row and column swaps and
+    R_i += f*R_j, C_j -= f*C_i steps inside the leading (n-1)-block, which
+    keep the charpolys of M and of that block."""
+    n = len(rows)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n - 1), 2)
+        if rng.random() < 0.3:
+            rows[i], rows[j] = rows[j], rows[i]
+            for r in rows:
+                r[i], r[j] = r[j], r[i]
+        else:
+            f = rng.randrange(1, p)
+            rows[i] = [(a + f * b) % p for a, b in zip(rows[i], rows[j])]
+            for r in rows:
+                r[j] = (r[j] - f * r[i]) % p
+    return rows
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_charpoly_pair_at_p_not_above_n(p):
+    # p <= n leaves too few points to fix the pair by its values, so it is
+    # checked on matrices whose pair is known: a companion matrix of f
+    # (chi = f, and its leading block is nilpotent), the same mixed by a
+    # similarity inside the leading block, and an upper triangular matrix.
+    field = PrimeField(p)
+    rng = Random(p)
+    x = P(field, 0, 1)
+    for n in range(p, 13):
+        coeffs = [rng.randrange(p) for _ in range(n)]
+        f = Poly(field, coeffs + [1])
+        companion = [[int(i == j + 1) for j in range(n - 1)] + [-c % p]
+                     for i, c in enumerate(coeffs)]
+        x_minor = P(field, *[0] * (n - 1), 1)
+        assert dense_charpoly(companion, field) == (f, x_minor)
+        mixed = _mix_leading_block([r[:] for r in companion], p, rng)
+        assert dense_charpoly(mixed, field) == (f, x_minor)
+        diag = [rng.randrange(p) for _ in range(n)]
+        upper = [[diag[i] if i == j else rng.randrange(p) if i < j else 0
+                  for j in range(n)] for i in range(n)]
+        chi_minor = Poly.one(field)
+        for d in diag[:-1]:
+            chi_minor = chi_minor * (x - P(field, d))
+        assert dense_charpoly(upper, field) == (
+            chi_minor * (x - P(field, diag[-1])), chi_minor)
 
 
 def _minpoly_cases(field):
